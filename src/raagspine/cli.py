@@ -12,11 +12,12 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from . import families
 from .compat import compatibility_graph, default_cache_dir
 from .conditions import condition_report
-from .graph import GraphError, SimplicialGraph, graph_to_text, parse_graph
+from .graph import GraphError, SimplicialGraph, graph_to_text, mask_iter, parse_graph
 from .hugging import (
     verify_hug_compat,
     verify_oversize_hugged,
@@ -35,7 +36,7 @@ logger = logging.getLogger("raagspine")
 
 
 def _read_graph(path: str) -> SimplicialGraph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_graph(text)
 
 
@@ -201,7 +202,7 @@ def cmd_apply_aut(args) -> int:
     base_signed = 2 * base_vertex + (1 if negative else 0)
     side = set(_signed_ids(g, args.side))
     for p in enumerate_partitions(g, base_vertex):
-        if set(_iter_mask(p.side_a)) == side or set(_iter_mask(p.side_b)) == side:
+        if set(mask_iter(p.side_a)) == side or set(mask_iter(p.side_b)) == side:
             images = whitehead_images(g, p, base_signed)
             payload = {
                 "schema_version": SCHEMA_VERSION,
@@ -216,12 +217,6 @@ def cmd_apply_aut(args) -> int:
             _emit(payload, args.json, text)
             return EXIT_OK
     raise GraphError(f"no partition based at {args.base} has side {args.side}")
-
-
-def _iter_mask(mask: int):
-    from .graph import mask_iter
-
-    return mask_iter(mask)
 
 
 def cmd_gen(args) -> int:

@@ -1,17 +1,20 @@
 """Exact clique search over the compatibility graph.
 
 M(W) is the size of a largest pairwise-compatible set of partitions that can
-all be based inside W.  The solver is a branch-and-bound over bitmasks with a
-greedy colouring bound and a static degeneracy vertex order; the reported
-witness is the lexicographically least maximum clique, found by a second
-prefix-growing pass with existence queries.  No heuristics are ever reported
-as answers.
+all be based inside W.  The solver is a BBMC-style bitset branch-and-bound
+(San Segundo et al., 2011, over Tomita's MCS colouring bound): the nodes are
+renumbered once in reverse degeneracy order, and each search node peels
+greedy colour classes straight from its candidate bitset.  One search loop
+beats an incumbent (the size) or stops at a target (existence queries, which
+a second prefix-growing pass uses to pick the lexicographically least
+maximum clique as witness).  No heuristics are ever reported as answers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .compat import CompatibilityGraph
 from .graph import mask_iter
@@ -32,104 +35,98 @@ class MaxSetResult:
     restricted_to: frozenset[int]
 
 
-def _degeneracy_order(adj: list[int], mask: int) -> list[int]:
+def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
     """Repeatedly remove a minimum-degree vertex; ties broken by node id."""
+    alive = list(mask_iter(mask))
+    deg = [0] * mask.bit_length()
+    for v in alive:
+        deg[v] = (adj[v] & mask).bit_count()
     remaining = mask
     order = []
-    while remaining:
-        best_v, best_d = -1, 1 << 62
-        for v in mask_iter(remaining):
-            d = (adj[v] & remaining).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        order.append(best_v)
-        remaining &= ~(1 << best_v)
+    while alive:
+        v = min(alive, key=deg.__getitem__)
+        alive.remove(v)
+        order.append(v)
+        remaining ^= 1 << v
+        for u in mask_iter(adj[v] & remaining):
+            deg[u] -= 1
     return order
 
 
 class _CliqueSolver:
-    def __init__(self, adj: Iterable[int], mask: int):
-        self.adj = list(adj)
-        self.mask = mask
-        # colouring in reverse degeneracy order tends to use few colours
-        self.order = list(reversed(_degeneracy_order(self.adj, mask)))
+    def __init__(self, adj: Sequence[int], mask: int):
+        # bit i of the renumbered graph is node order[i]; colouring in
+        # reverse degeneracy order tends to use few colours
+        self.order = order = _degeneracy_order(adj, mask)[::-1]
+        width = mask.bit_length()
+        fmt = f"0{width}b"
+        pick = operator.itemgetter(*[width - 1 - v for v in reversed(order)])
+        self.adj = [int("".join(pick(format(adj[v] & mask, fmt))), 2) for v in order]
+        self.full = (1 << len(order)) - 1
+        # the candidates a colour class keeps after taking bit i
+        self.keep = [~(a | 1 << i) for i, a in enumerate(self.adj)]
+        # renumbered bits in ascending node id
+        self.by_id = sorted(range(len(order)), key=order.__getitem__)
 
-    def _colour_sort(self, cand: int) -> list[tuple[int, int]]:
-        """Greedy colouring of cand; returns (vertex, colour) sorted by colour."""
-        adj = self.adj
-        class_masks: list[int] = []
-        class_members: list[list[int]] = []
-        for v in self.order:
-            if not cand >> v & 1:
-                continue
-            av = adj[v]
-            for idx, cmask in enumerate(class_masks):
-                if not av & cmask:
-                    class_masks[idx] = cmask | 1 << v
-                    class_members[idx].append(v)
-                    break
-            else:
-                class_masks.append(1 << v)
-                class_members.append([v])
-        out = []
-        for colour, members in enumerate(class_members, start=1):
-            for v in members:
-                out.append((v, colour))
-        return out
+    def expand(self, cand: int, best: int = 0, target: int | None = None) -> int:
+        """Largest clique size in cand if above the incumbent best, else best.
 
-    def max_size(self) -> int:
-        best = 0
+        Stops as soon as a clique of the target size is found."""
+        adj, keep = self.adj, self.keep
+        limit = cand.bit_count() if target is None else target
 
-        def expand(size: int, cand: int) -> None:
+        def grow(size: int, cand: int) -> bool:
             nonlocal best
-            if not cand:
-                if size > best:
-                    best = size
-                return
-            if size + cand.bit_count() <= best:
-                return
-            coloured = self._colour_sort(cand)
-            for v, colour in reversed(coloured):
-                if size + colour <= best:
-                    return
-                expand(size + 1, cand & self.adj[v])
-                cand &= ~(1 << v)
-
-        expand(0, self.mask)
-        return best
-
-    def has_clique(self, cand: int, need: int) -> bool:
-        """Whether cand contains a clique of the given size."""
-        if need <= 0:
-            return True
-
-        def expand(size: int, cand: int) -> bool:
-            if size >= need:
-                return True
-            if size + cand.bit_count() < need:
-                return False
-            coloured = self._colour_sort(cand)
-            for v, colour in reversed(coloured):
-                if size + colour < need:
-                    return False
-                if expand(size + 1, cand & self.adj[v]):
+            if size > best:
+                best = size
+                if best >= limit:
                     return True
-                cand &= ~(1 << v)
+            if size + cand.bit_count() <= best:
+                return False
+            kmin = best - size + 1
+            classes = []
+            colour = 0
+            uncoloured = cand
+            while uncoloured:
+                colour += 1
+                free = before = uncoloured
+                while free:
+                    low = free & -free
+                    free &= keep[low.bit_length() - 1]
+                    uncoloured ^= low
+                if colour >= kmin:
+                    classes.append((colour, before ^ uncoloured))
+            for colour, members in reversed(classes):
+                while members:
+                    if size + colour <= best:
+                        return False
+                    v = members.bit_length() - 1
+                    if grow(size + 1, cand & adj[v]):
+                        return True
+                    cand ^= 1 << v
+                    members ^= 1 << v
             return False
 
-        return expand(0, cand)
+        grow(0, cand)
+        return best
 
     def lex_least_clique(self, size: int) -> frozenset[int]:
         """Lexicographically least clique of exactly the given size."""
         chosen: list[int] = []
-        cand = self.mask
-        for _ in range(size):
-            for v in mask_iter(cand):
-                rest = cand & self.adj[v] & ~((1 << (v + 1)) - 1)
-                if self.has_clique(rest, size - len(chosen) - 1):
-                    chosen.append(v)
+        # walk the node ids upwards once; a node that fails leaves cand, so
+        # cand holds only the later ids still compatible with every choice
+        cand = self.full
+        walk = iter(self.by_id)
+        for need in range(size - 1, -1, -1):
+            for b in walk:
+                if not cand >> b & 1:
+                    continue
+                rest = cand & self.adj[b]
+                if self.expand(rest, need - 1, need) >= need:
+                    chosen.append(self.order[b])
                     cand = rest
                     break
+                cand ^= 1 << b
             else:
                 raise RuntimeError("witness reconstruction failed")
         return frozenset(chosen)
@@ -144,7 +141,7 @@ def max_compatible(cg: CompatibilityGraph, vertices: Iterable[int]) -> MaxSetRes
     if not mask:
         return MaxSetResult(size=0, witness=frozenset(), restricted_to=wanted)
     solver = _CliqueSolver(cg.adj, mask)
-    size = solver.max_size()
+    size = solver.expand(solver.full)
     witness = solver.lex_least_clique(size)
     return MaxSetResult(size=size, witness=witness, restricted_to=wanted)
 

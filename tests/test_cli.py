@@ -9,8 +9,8 @@ from raagspine import families, graph_to_text
 from raagspine.cli import main
 
 
-def run_cli(args, stdin_text=None, env=None):
-    cmd = [sys.executable, "-m", "raagspine.cli", *args]
+def run_cli(args, stdin_text=None, env=None, python_flags=()):
+    cmd = [sys.executable, *python_flags, "-m", "raagspine.cli", *args]
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -66,6 +66,16 @@ class TestAnalyze:
         proc = run_cli(["analyze", str(bad)])
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
+
+    def test_missing_graph_file_exit_code(self, tmp_path):
+        proc = run_cli(["analyze", str(tmp_path / "absent.graph")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_graph_file_closed(self, t2_file):
+        proc = run_cli(["partitions", t2_file], python_flags=["-W", "error::ResourceWarning"])
+        assert proc.returncode == 0
+        assert "ResourceWarning" not in proc.stderr
 
     def test_cap_exceeded_exit_code(self, t2_file):
         proc = run_cli(["analyze", "--with-retraction", "--cap", "10", t2_file])

@@ -6,13 +6,33 @@ from raagspine import (
     is_inextendible,
     max_compatible,
 )
-from raagspine.search import CapExceededError, naive_max_clique_size
+from raagspine.graph import mask_iter
+from raagspine.search import CapExceededError, _degeneracy_order, naive_max_clique_size
 
 from conftest import doubled_names, node_id, small_fixture_graphs
 
 
 def vertex_ids(g, names):
     return frozenset(g.vertex_id(n) for n in names)
+
+
+def based_mask(cg, wanted):
+    return cg.members_mask(cg.nodes_based_in(wanted))
+
+
+def reference_degeneracy_order(adj, mask):
+    """Quadratic reference: rescan every remaining degree at each removal."""
+    remaining = mask
+    order = []
+    while remaining:
+        best_v, best_d = -1, 1 << 62
+        for v in mask_iter(remaining):
+            d = (adj[v] & remaining).bit_count()
+            if d < best_d:
+                best_v, best_d = v, d
+        order.append(best_v)
+        remaining &= ~(1 << best_v)
+    return order
 
 
 class TestRakeNumbers:
@@ -39,6 +59,17 @@ class TestDeltaNumbers:
         cls = g.classify_vertices()
         assert max_compatible(cg, cls.principal).size == 11
         assert max_compatible(cg, frozenset(range(g.n))).size == 14
+
+    def test_pinned_witnesses(self, cg_cache):
+        g = families.delta()
+        cg = cg_cache(g)
+        cls = g.classify_vertices()
+        assert tuple(sorted(max_compatible(cg, cls.principal).witness)) == (
+            0, 4, 6, 7, 8, 9, 43, 66, 80, 113, 121,
+        )
+        assert tuple(sorted(max_compatible(cg, frozenset(range(g.n))).witness)) == (
+            0, 2, 7, 8, 9, 38, 47, 56, 72, 74, 87, 111, 115, 123,
+        )
 
     @pytest.mark.parametrize(
         "names,expected",
@@ -69,6 +100,12 @@ class TestFreeGroupSanity:
         g = families.edgeless(n)
         cg = cg_cache(g)
         assert max_compatible(cg, frozenset(range(n))).size == 2 * n - 3
+
+    def test_edgeless5_pinned_witness(self, cg_cache):
+        g = families.edgeless(5)
+        result = max_compatible(cg_cache(g), frozenset(range(g.n)))
+        assert result.size == 7
+        assert tuple(sorted(result.witness)) == (0, 1, 2, 3, 10, 51, 232)
 
 
 class TestSolverProperties:
@@ -122,25 +159,38 @@ class TestSolverProperties:
         # oracle: enumerate all maximum cliques and take the smallest id tuple
         for g in (families.rake(1), families.rake(2), families.edgeless(3)):
             cg = cg_cache(g)
-            result = max_compatible(cg, frozenset(range(g.n)))
-            best = None
-            for members in enumerate_compatible_sets(cg):
-                if len(members) == result.size:
-                    key = tuple(sorted(members))
-                    if best is None or key < best:
-                        best = key
-            assert tuple(sorted(result.witness)) == best
+            sets = list(enumerate_compatible_sets(cg))
+            for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
+                result = max_compatible(cg, wanted)
+                allowed = based_mask(cg, wanted)
+                best = None
+                for members in sets:
+                    if len(members) == result.size and cg.members_mask(members) & ~allowed == 0:
+                        key = tuple(sorted(members))
+                        if best is None or key < best:
+                            best = key
+                assert tuple(sorted(result.witness)) == best
 
     def test_matches_naive_oracle(self, cg_cache):
         for g in small_fixture_graphs().values():
             cg = cg_cache(g)
             if cg.n > 40:
                 continue
-            full = (1 << cg.n) - 1
-            assert (
-                max_compatible(cg, frozenset(range(g.n))).size
-                == naive_max_clique_size(list(cg.adj), full)
-            )
+            restrictions = [frozenset(range(g.n)), g.classify_vertices().principal]
+            restrictions += [frozenset({v}) for v in range(g.n)]
+            for wanted in restrictions:
+                assert max_compatible(cg, wanted).size == naive_max_clique_size(
+                    list(cg.adj), based_mask(cg, wanted)
+                )
+
+    def test_degeneracy_order_matches_reference(self, cg_cache):
+        graphs = list(small_fixture_graphs().values()) + [families.edgeless(5)]
+        for g in graphs:
+            cg = cg_cache(g)
+            adj = list(cg.adj)
+            for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
+                mask = based_mask(cg, wanted)
+                assert _degeneracy_order(adj, mask) == reference_degeneracy_order(adj, mask)
 
 
 class TestInextendibility:
