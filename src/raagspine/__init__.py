@@ -14,8 +14,6 @@ from .partitions import (
     all_partitions,
     enumerate_partitions,
     make_partition,
-    max_of,
-    split_of,
     whitehead_images,
 )
 from .compat import CompatibilityGraph, compatibility_graph, is_adjacent, is_compatible
@@ -93,9 +91,7 @@ __all__ = [
     "is_spiky",
     "make_partition",
     "max_compatible",
-    "max_of",
     "p_k_value",
-    "split_of",
     "parse_graph",
     "retract",
     "verify_hug_compat",

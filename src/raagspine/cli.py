@@ -2,8 +2,8 @@
 
 Subcommands: analyze, partitions, max-set, conditions, retract, verify,
 apply-aut, gen.  Graph files use the line-oriented text format; ``-`` reads
-the graph from stdin.  Exit codes: 0 success, 2 parse error, 3 cap exceeded.
-All JSON output carries a schema_version field.
+the graph from stdin.  Exit codes: 0 success, 2 parse or usage error, 3 cap
+exceeded.  All JSON output carries a schema_version field.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from pathlib import Path
 
 from . import families
 from .compat import compatibility_graph, default_cache_dir
-from .conditions import condition_report
+from .conditions import condition_report, is_spiky
 from .graph import GraphError, SimplicialGraph, graph_to_text, mask_iter, parse_graph
 from .hugging import (
+    HugError,
     verify_hug_compat,
     verify_oversize_hugged,
     verify_replacement,
@@ -143,6 +144,8 @@ def cmd_conditions(args) -> int:
 
 def cmd_retract(args) -> int:
     g = _read_graph(args.graph)
+    if not args.warn_and_proceed and not is_spiky(g):
+        raise GraphError("graph is not spiky; pass --warn-and-proceed to collapse anyway")
     cg = compatibility_graph(g, cache_dir=args.cache_dir)
     star = build_star(cg, cap=args.cap)
     trace = retract(star, warn_and_proceed=args.warn_and_proceed)
@@ -224,16 +227,19 @@ def cmd_gen(args) -> int:
     if family not in families.FAMILIES:
         raise GraphError(f"unknown family {family!r}; choose from {sorted(families.FAMILIES)}")
     builder = families.FAMILIES[family]
-    if family == "rake":
-        g = builder(args.d)
-    elif family == "rake-like":
-        if not args.inner:
-            raise GraphError("rake-like needs --inner <graph file>")
-        g = builder(args.d, _read_graph(args.inner))
-    elif family in ("path", "cycle", "complete", "edgeless"):
-        g = builder(args.n)
-    else:
-        g = builder()
+    try:
+        if family == "rake":
+            g = builder(args.d)
+        elif family == "rake-like":
+            if not args.inner:
+                raise GraphError("rake-like needs --inner <graph file>")
+            g = builder(args.d, _read_graph(args.inner))
+        elif family in ("path", "cycle", "complete", "edgeless"):
+            g = builder(args.n)
+        else:
+            g = builder()
+    except ValueError as exc:  # out-of-range family parameters
+        raise GraphError(str(exc)) from exc
     sys.stdout.write(graph_to_text(g))
     return EXIT_OK
 
@@ -327,7 +333,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, HugError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceededError as exc:

@@ -40,7 +40,6 @@ class ConditionReport:
     p_k: int
     p_k_counts: tuple[tuple[int, int], ...]  # (u, component count), dominators
     p_k_principal_maximal: int
-    p_k_principal_maximal_counts: tuple[tuple[int, int], ...]
 
     def to_dict(self, g: SimplicialGraph) -> dict:
         name = g.names.__getitem__
@@ -127,10 +126,8 @@ def _spiky_characterization(g: SimplicialGraph) -> bool:
     return True
 
 
-def is_spiky(g: SimplicialGraph) -> bool:
-    """Conjunction of Conditions 1 and 2, cross-checked against the sweep."""
-    c1, _ = check_condition1(g)
-    c2, _ = check_condition2(g)
+def _checked_spiky(g: SimplicialGraph, c1: bool, c2: bool) -> bool:
+    """The conjunction of the two conditions, cross-checked against the sweep."""
     both = c1 and c2
     char = _spiky_characterization(g)
     if both != char:
@@ -138,6 +135,11 @@ def is_spiky(g: SimplicialGraph) -> bool:
             f"conditions give spiky={both} but the characterization gives {char}"
         )
     return both
+
+
+def is_spiky(g: SimplicialGraph) -> bool:
+    """Conjunction of Conditions 1 and 2, cross-checked against the sweep."""
+    return _checked_spiky(g, check_condition1(g)[0], check_condition2(g)[0])
 
 
 def is_barbed(g: SimplicialGraph):
@@ -185,26 +187,20 @@ def p_k_principal_maximal(g: SimplicialGraph):
 def condition_report(g: SimplicialGraph) -> ConditionReport:
     c1, w1 = check_condition1(g)
     c2, w2 = check_condition2(g)
-    char = _spiky_characterization(g)
-    spiky = c1 and c2
-    if spiky != char:
-        raise SpikyConsistencyError(
-            f"conditions give spiky={spiky} but the characterization gives {char}"
-        )
+    spiky = _checked_spiky(g, c1, c2)
     barbed, wb = is_barbed(g)
     k, counts = p_k_value(g)
-    k_pm, counts_pm = p_k_principal_maximal(g)
+    k_pm, _ = p_k_principal_maximal(g)
     return ConditionReport(
         condition1=c1,
         condition1_witnesses=w1,
         condition2=c2,
         condition2_witnesses=w2,
         spiky=spiky,
-        spiky_char=char,
+        spiky_char=spiky,
         barbed=barbed,
         barbed_witnesses=wb,
         p_k=k,
         p_k_counts=counts,
         p_k_principal_maximal=k_pm,
-        p_k_principal_maximal_counts=counts_pm,
     )

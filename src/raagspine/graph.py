@@ -36,13 +36,6 @@ def sv_is_positive(s: int) -> bool:
     return s & 1 == 0
 
 
-def mask_of(codes: Iterable[int]) -> int:
-    m = 0
-    for s in codes:
-        m |= 1 << s
-    return m
-
-
 def mask_iter(mask: int):
     """Yield the set bits of a mask in increasing order."""
     while mask:
@@ -71,7 +64,7 @@ class SimplicialGraph:
     i < j.
     """
 
-    __slots__ = ("names", "n", "index", "edges", "adj", "_adj_masks", "_classification")
+    __slots__ = ("names", "n", "index", "edges", "adj", "_classification")
 
     def __init__(self, names: Sequence[str], edges: Iterable[tuple[str, str]]):
         names = tuple(names)
@@ -98,7 +91,6 @@ class SimplicialGraph:
             neighbours[i].add(j)
             neighbours[j].add(i)
         self.adj = tuple(frozenset(s) for s in neighbours)
-        self._adj_masks = tuple(sum(1 << w for w in s) for s in neighbours)
         self._classification = None
 
     # -- basic protocol ------------------------------------------------

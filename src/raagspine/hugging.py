@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 from .compat import CompatibilityGraph
 from .graph import SimplicialGraph, mask_iter, sv_neg, sv_pos
 from .partitions import Partition, _partition_from_masks
-from .search import max_compatible
+from .search import clique_masks, max_compatible
 
 
 class HugError(ValueError):
@@ -79,6 +79,19 @@ def hug_context(g: SimplicialGraph, q: Partition, u: int, m: int):
     return side_q, units_in_q
 
 
+def _distributions(m: int, units: list[int]):
+    """The 2^k side-mask pairs ({m} ∪ C1, {m^-1} ∪ C2) over the k units."""
+    for bits in range(1 << len(units)):
+        p1 = 1 << sv_pos(m)
+        p2 = 1 << sv_neg(m)
+        for i, mu in enumerate(units):
+            if bits >> i & 1:
+                p1 |= mu
+            else:
+                p2 |= mu
+        yield p1, p2
+
+
 def hug_candidates(
     g: SimplicialGraph, q: Partition, m: int
 ) -> list[tuple[Partition, Partition]]:
@@ -91,23 +104,13 @@ def hug_candidates(
     if q.max_bases & cls.principal:
         raise HugError("hugging targets a non-principal partition")
     u = min(q.max_bases)
-    side_q, units = hug_context(g, q, u, m)
-    k = len(units)
-    pairs = []
-    for bits in range(1 << k):
-        p1 = 1 << sv_pos(m)
-        p2 = 1 << sv_neg(m)
-        for i in range(k):
-            if bits >> i & 1:
-                p1 |= units[i]
-            else:
-                p2 |= units[i]
-        full = (1 << (2 * g.n)) - 1
-        rest = full & ~g.link_mask(m)
-        part1 = _partition_from_masks(g, p1, rest & ~p1, validate=False)
-        part2 = _partition_from_masks(g, p2, rest & ~p2, validate=False)
-        pairs.append((part1, part2))
-    return pairs
+    _, units = hug_context(g, q, u, m)
+    rest = ((1 << (2 * g.n)) - 1) & ~g.link_mask(m)
+
+    def partition(side: int) -> Partition:
+        return _partition_from_masks(g, side, rest & ~side, validate=False)
+
+    return [(partition(p1), partition(p2)) for p1, p2 in _distributions(m, units)]
 
 
 def is_hugged_in(
@@ -297,39 +300,18 @@ def verify_oversize_hugged(
     m_l = max_compatible(cg, cg.graph.classify_vertices().principal).size
     oracle = HugOracle(cg, strict_principal=strict_principal)
     checked = 0
-
-    def extend(members: list[int], mask: int, cand: int):
-        nonlocal checked
-        if len(members) > m_l:
-            if checked >= budget:
-                return "budget"
-            checked += 1
-            if not oracle.hugged_mask(mask):
-                return list(members)
-        # prune branches that can never get oversize
-        if len(members) + cand.bit_count() <= m_l:
-            return None
-        for v in mask_iter(cand):
-            members.append(v)
-            res = extend(
-                members, mask | 1 << v, cand & cg.adj[v] & ~((1 << (v + 1)) - 1)
+    for mask in clique_masks(cg.adj, (1 << cg.n) - 1, min_size=m_l + 1):
+        if checked >= budget:
+            return Verdict(status="inconclusive", checked=checked, detail="budget exhausted")
+        checked += 1
+        if not oracle.hugged_mask(mask):
+            return Verdict(
+                status="fail",
+                checked=checked,
+                detail="oversize compatible set with no hugged member",
+                witnesses=(tuple(mask_iter(mask)),),
             )
-            members.pop()
-            if res is not None:
-                return res
-        return None
-
-    result = extend([], 0, (1 << cg.n) - 1)
-    if result == "budget":
-        return Verdict(status="inconclusive", checked=checked, detail="budget exhausted")
-    if result is None:
-        return Verdict(status="pass", checked=checked)
-    return Verdict(
-        status="fail",
-        checked=checked,
-        detail="oversize compatible set with no hugged member",
-        witnesses=(tuple(result),),
-    )
+    return Verdict(status="pass", checked=checked)
 
 
 def _hug_configs(
@@ -347,18 +329,10 @@ def _hug_configs(
     for u in sorted(q.max_bases):
         for m in _dominators(g, u, strict_principal):
             _, units = hug_context(g, q, u, m)
-            k = len(units)
             rest = full & ~g.link_mask(m)
-            for bits in range(1 << k):
-                p1 = 1 << sv_pos(m)
-                p2 = 1 << sv_neg(m)
-                for i in range(k):
-                    if bits >> i & 1:
-                        p1 |= units[i]
-                    else:
-                        p2 |= units[i]
+            for sides in _distributions(m, units):
                 ids = []
-                for side in (p1, p2):
+                for side in sides:
                     if side.bit_count() < 2:
                         continue
                     part = _partition_from_masks(g, side, rest & ~side, validate=False)

@@ -200,19 +200,6 @@ def all_partitions(g: SimplicialGraph) -> list[Partition]:
     return sorted(seen.values(), key=Partition.key)
 
 
-def split_of(p: Partition) -> frozenset[int]:
-    return p.split
-
-
-def max_of(p: Partition) -> frozenset[int]:
-    return p.max_bases
-
-
-def is_principal_partition(g: SimplicialGraph, p: Partition, principal: frozenset[int]) -> bool:
-    """Whether some (hence any) base of p is a principal vertex."""
-    return bool(p.max_bases & principal)
-
-
 def whitehead_images(
     g: SimplicialGraph, p: Partition, base: int
 ) -> dict[int, tuple[int, ...]]:

@@ -19,13 +19,14 @@ one copy of the star carries the combinatorial content.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .compat import CompatibilityGraph
 from .conditions import is_spiky
 from .graph import mask_iter
 from .hugging import HugOracle
-from .search import CapExceededError, max_compatible
+from .search import clique_masks, max_compatible
 
 
 class StructuralAssertionError(RuntimeError):
@@ -87,11 +88,10 @@ def complex_stats(cubes: Iterable[tuple[int, int]]) -> ComplexStats:
 
 @dataclass(frozen=True)
 class StarComplex:
-    """All cubes sharing one Salvetti vertex, with indexes for collapsing."""
+    """All cubes sharing one Salvetti vertex."""
 
     cg: CompatibilityGraph
     cliques: tuple[int, ...]  # member masks of every compatible set
-    supersets: dict  # clique mask -> tuple of clique masks containing it
     m_v: int
     m_l: int
 
@@ -106,6 +106,13 @@ class StarComplex:
     def stats(self) -> ComplexStats:
         return complex_stats(self.cubes())
 
+    def supersets(self, clique: int) -> tuple[int, ...]:
+        """Member masks of every compatible set containing the given one."""
+        common = (1 << self.cg.n) - 1
+        for v in mask_iter(clique):
+            common &= self.cg.adj[v]
+        return tuple(clique | c for c in clique_masks(self.cg.adj, common))
+
 
 def build_star(cg: CompatibilityGraph, cap: int = 200000) -> StarComplex:
     """Enumerate every compatible set and assemble the face-closed cube set.
@@ -113,33 +120,12 @@ def build_star(cg: CompatibilityGraph, cap: int = 200000) -> StarComplex:
     ``cap`` bounds the number of compatible sets; beyond it the complex is
     considered out of the designed envelope and CapExceededError is raised.
     """
-    cliques: list[int] = []
-    count = 0
-
-    def extend(mask: int, cand: int):
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise CapExceededError(cap)
-        cliques.append(mask)
-        for v in mask_iter(cand):
-            extend(mask | 1 << v, cand & cg.adj[v] & ~((1 << (v + 1)) - 1))
-
-    extend(0, (1 << cg.n) - 1)
-    clique_set = set(cliques)
-    supersets: dict[int, list[int]] = {c: [] for c in cliques}
-    for c in cliques:
-        for s in _submasks(c):
-            supersets[s].append(c)
-    m_v = max(c.bit_count() for c in cliques)
-    m_l = max_compatible(cg, cg.graph.classify_vertices().principal).size
-    assert clique_set == set(supersets)
+    cliques = tuple(clique_masks(cg.adj, (1 << cg.n) - 1, cap=cap))
     return StarComplex(
         cg=cg,
-        cliques=tuple(cliques),
-        supersets={k: tuple(v) for k, v in supersets.items()},
-        m_v=m_v,
-        m_l=m_l,
+        cliques=cliques,
+        m_v=max(c.bit_count() for c in cliques),
+        m_l=max_compatible(cg, cg.graph.classify_vertices().principal).size,
     )
 
 
@@ -236,6 +222,7 @@ def retract(
     initial = complex_stats((l, u) for u, ls in present.items() for l in ls)
 
     oracle = HugOracle(cg, strict_principal=strict_principal)
+    supersets = cache(star.supersets)  # few distinct faces, many lookups
     events: list[CollapseEvent] = []
 
     def attempt(lower: int, upper: int) -> bool:
@@ -249,7 +236,7 @@ def retract(
         face_upper = upper & ~hugged
         containing = [
             (a, b)
-            for b in star.supersets[face_upper]
+            for b in supersets(face_upper)
             if b in present
             for a in present[b]
             if not a & ~lower
@@ -310,7 +297,7 @@ def retract(
             return False
         containing = [
             (a, b)
-            for b in star.supersets[upper]
+            for b in supersets(upper)
             if b in present
             for a in present[b]
             if not a & ~face[0]

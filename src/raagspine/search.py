@@ -8,6 +8,9 @@ greedy colour classes straight from its candidate bitset.  One search loop
 beats an incumbent (the size) or stops at a target (existence queries, which
 a second prefix-growing pass uses to pick the lexicographically least
 maximum clique as witness).  No heuristics are ever reported as answers.
+
+``clique_masks`` is the one clique enumerator: the star complex, its coface
+lookups and the oversize verifier all walk it.
 """
 
 from __future__ import annotations
@@ -173,32 +176,52 @@ def is_inextendible(cg: CompatibilityGraph, members: Iterable[int]) -> bool:
     return True
 
 
+def clique_masks(
+    adj: Sequence[int],
+    cand: int,
+    *,
+    min_size: int = 0,
+    max_size: int | None = None,
+    cap: int | None = None,
+) -> Iterator[int]:
+    """Every clique inside cand with min_size <= size <= max_size, as a mask.
+
+    Yields in lexicographic order of sorted member ids, so the empty clique
+    comes first when min_size is 0.  Branches that can no longer reach
+    min_size are not walked.  Raises CapExceededError once more than ``cap``
+    cliques would be yielded; everything yielded before that is valid.
+    """
+    limit = cand.bit_count() if max_size is None else max_size
+    count = 0
+    # (members, size, candidates above the highest member); depth first
+    stack = [(0, 0, cand)]
+    while stack:
+        mask, size, rest = stack.pop()
+        if size >= min_size:
+            count += 1
+            if cap is not None and count > cap:
+                raise CapExceededError(cap)
+            yield mask
+        if size >= limit:
+            continue
+        size += 1
+        children = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            later = rest & adj[low.bit_length() - 1]
+            if size + later.bit_count() >= min_size:
+                children.append((mask | low, size, later))
+        stack += reversed(children)
+
+
 def enumerate_compatible_sets(
     cg: CompatibilityGraph, max_size: int | None = None, cap: int | None = None
 ) -> Iterator[frozenset[int]]:
     """All pairwise-compatible sets (cliques) of size <= max_size.
 
-    Yields in lexicographic order of sorted member ids, the empty set first.
-    Raises CapExceededError once more than ``cap`` sets would be produced;
-    everything yielded before that is valid partial output.
+    A frozenset view of clique_masks over the whole compatibility graph: the
+    same order, the empty set first, and the same ``cap`` behaviour.
     """
-    limit = cg.n if max_size is None else max_size
-    count = 0
-
-    def bump():
-        nonlocal count
-        count += 1
-        if cap is not None and count > cap:
-            raise CapExceededError(cap)
-
-    def recurse(members: list[int], cand: int) -> Iterator[frozenset[int]]:
-        bump()
-        yield frozenset(members)
-        if len(members) >= limit:
-            return
-        for v in mask_iter(cand):
-            members.append(v)
-            yield from recurse(members, cand & cg.adj[v] & ~((1 << (v + 1)) - 1))
-            members.pop()
-
-    yield from recurse([], (1 << cg.n) - 1)
+    masks = clique_masks(cg.adj, (1 << cg.n) - 1, max_size=max_size, cap=cap)
+    return (frozenset(mask_iter(m)) for m in masks)

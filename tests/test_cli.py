@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from raagspine import families, graph_to_text
+from raagspine import SimplicialGraph, families, graph_to_text
 from raagspine.cli import main
 
 
@@ -193,6 +193,39 @@ class TestSubcommands:
     def test_apply_aut_unknown_side(self, t2_file):
         proc = run_cli(["apply-aut", "--side", "u,v", "--base", "u", t2_file])
         assert proc.returncode == 2
+
+
+class TestRefusals:
+    """Inputs a command refuses end with exit code 2 and one error line."""
+
+    def assert_refused(self, proc):
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_oversize_non_barbed(self):
+        gen = run_cli(["gen", "--family", "condition1-counterexample"])
+        proc = run_cli(["verify", "--lemma", "oversize", "-"], stdin_text=gen.stdout)
+        self.assert_refused(proc)
+        assert "barbed" in proc.stderr
+
+    def test_retract_non_spiky(self, tmp_path):
+        g = SimplicialGraph(
+            [f"x{v}" for v in range(6)],
+            [(f"x{a}", f"x{b}") for a, b in
+             ((0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (3, 4), (3, 5))],
+        )
+        path = tmp_path / "non-spiky.graph"
+        path.write_text(graph_to_text(g))
+        proc = run_cli(["retract", str(path)])
+        self.assert_refused(proc)
+        assert "--warn-and-proceed" in proc.stderr
+        assert run_cli(["retract", "--warn-and-proceed", str(path)]).returncode == 0
+
+    def test_gen_out_of_range_parameter(self):
+        proc = run_cli(["gen", "--family", "path", "--n", "-2"])
+        self.assert_refused(proc)
+        assert proc.stdout == ""
 
 
 class TestCache:

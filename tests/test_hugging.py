@@ -212,6 +212,7 @@ class TestOversizeLemma:
     def test_budget_exhaustion_is_inconclusive(self, cg_cache):
         verdict = verify_oversize_hugged(cg_cache(families.rake(2)), budget=5)
         assert verdict.status == "inconclusive"
+        assert verdict.checked == 5
 
     def test_non_barbed_rejected(self, cg_cache):
         g = families.condition1_counterexample()

@@ -84,6 +84,13 @@ class TestBuildStar:
             star = build_star(cg_cache(g))
             assert star.stats().euler_characteristic == 1
 
+    def test_supersets_by_definition(self, rake2_star, cg_cache):
+        for star in (rake2_star, build_star(cg_cache(families.edgeless(3)))):
+            for c in star.cliques:
+                found = star.supersets(c)
+                assert len(found) == len(set(found))
+                assert set(found) == {b for b in star.cliques if not c & ~b}
+
 
 class TestRetract:
     def test_rake1_no_events(self, cg_cache):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from raagspine import (
@@ -7,7 +9,12 @@ from raagspine import (
     max_compatible,
 )
 from raagspine.graph import mask_iter
-from raagspine.search import CapExceededError, _degeneracy_order, naive_max_clique_size
+from raagspine.search import (
+    CapExceededError,
+    _degeneracy_order,
+    clique_masks,
+    naive_max_clique_size,
+)
 
 from conftest import doubled_names, node_id, small_fixture_graphs
 
@@ -191,6 +198,57 @@ class TestSolverProperties:
             for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
                 mask = based_mask(cg, wanted)
                 assert _degeneracy_order(adj, mask) == reference_degeneracy_order(adj, mask)
+
+
+def brute_force_cliques(adj, cand, max_size):
+    """Every clique of at most max_size nodes inside cand, as sorted id tuples."""
+    nodes = list(mask_iter(cand))
+    return sorted(
+        combo
+        for k in range(max_size + 1)
+        for combo in itertools.combinations(nodes, k)
+        if all(adj[a] >> b & 1 for a, b in itertools.combinations(combo, 2))
+    )
+
+
+class TestCliqueMasks:
+    def test_matches_brute_force(self, cg_cache):
+        # same sets in the same order: lexicographic in the sorted member ids
+        for g in small_fixture_graphs().values():
+            cg = cg_cache(g)
+            adj = list(cg.adj)
+            for cand in ((1 << cg.n) - 1, based_mask(cg, g.classify_vertices().principal)):
+                nodes = cand.bit_count()
+                if nodes <= 22:  # every clique
+                    depth = naive_max_clique_size(adj, cand)
+                else:  # the short ones
+                    depth = 3 if nodes <= 40 else 2
+                want = brute_force_cliques(adj, cand, depth)
+
+                def walk(**kw):
+                    return [tuple(mask_iter(m)) for m in clique_masks(adj, cand, **kw)]
+
+                assert walk(max_size=depth) == want
+                if nodes <= 22:
+                    assert walk() == want
+                for low in range(1, depth + 2):
+                    assert walk(min_size=low, max_size=depth) == [c for c in want if len(c) >= low]
+
+    def test_cap(self, cg_cache):
+        adj = list(cg_cache(families.rake(2)).adj)
+        full = (1 << len(adj)) - 1
+        everything = list(clique_masks(adj, full))
+        assert len(everything) == 3825
+        assert list(clique_masks(adj, full, cap=3825)) == everything
+        out = []
+        with pytest.raises(CapExceededError):
+            for m in clique_masks(adj, full, cap=10):
+                out.append(m)
+        assert out == everything[:10]
+        # the cap counts yielded sets only: the 2-rake has 192 six-sets
+        assert len(list(clique_masks(adj, full, min_size=6, cap=192))) == 192
+        with pytest.raises(CapExceededError):
+            list(clique_masks(adj, full, min_size=6, cap=191))
 
 
 class TestInextendibility:
