@@ -18,8 +18,10 @@ one copy of the star carries the combinatorial content.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from typing import Callable, Iterable, Optional
 
 from .compat import CompatibilityGraph
@@ -68,22 +70,18 @@ class ComplexStats:
         }
 
 
-def complex_stats(cubes: Iterable[tuple[int, int]]) -> ComplexStats:
-    counts: dict[int, int] = {}
-    for lower, upper in cubes:
-        d = (upper & ~lower).bit_count()
-        counts[d] = counts.get(d, 0) + 1
-    if not counts:
-        return ComplexStats(dimension=-1, f_vector=(), euler_characteristic=0, cube_count=0)
-    dim = max(counts)
-    f_vector = tuple(counts.get(d, 0) for d in range(dim + 1))
-    euler = sum((-1) ** d * c for d, c in counts.items())
+def _stats_of(f_vector: tuple[int, ...]) -> ComplexStats:
     return ComplexStats(
-        dimension=dim,
+        dimension=len(f_vector) - 1,
         f_vector=f_vector,
-        euler_characteristic=euler,
-        cube_count=sum(counts.values()),
+        euler_characteristic=sum((-1) ** d * c for d, c in enumerate(f_vector)),
+        cube_count=sum(f_vector),
     )
+
+
+def complex_stats(cubes: Iterable[tuple[int, int]]) -> ComplexStats:
+    counts = Counter((upper & ~lower).bit_count() for lower, upper in cubes)
+    return _stats_of(tuple(counts[d] for d in range(max(counts, default=-1) + 1)))
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,12 @@ class StarComplex:
         return sum(1 << c.bit_count() for c in self.cliques)
 
     def stats(self) -> ComplexStats:
-        return complex_stats(self.cubes())
+        """Closed form: a compatible set c is the upper set of C(|c|, d)
+        cubes of dimension d, so f_d = sum over c of C(|c|, d)."""
+        sizes = Counter(c.bit_count() for c in self.cliques)
+        return _stats_of(tuple(
+            sum(k * comb(s, d) for s, k in sizes.items()) for d in range(self.m_v + 1)
+        ))
 
     def supersets(self, clique: int) -> tuple[int, ...]:
         """Member masks of every compatible set containing the given one."""
@@ -175,7 +178,12 @@ def retract(
 ) -> RetractionTrace:
     """Run the ordered collapse over the star; returns the audited trace.
 
-    Cubes are processed in ascending (b, t, p) order.  A cube whose upper set
+    Cubes are processed in ascending (b, t, p) order, ties broken by the
+    lexicographic order of (lower, upper) member ids.  Only cubes whose upper
+    set has hugged members outside the lower set are swept: the hugged mask
+    depends on the upper set alone, and for every other cube both the
+    collapse and the pair-down return before touching the complex, so the
+    events are the same as a sweep over every cube.  A cube whose upper set
     contains hugged members outside the lower set yields a collapse along the
     face that drops them, but only after the free-face condition is verified
     against the current complex; a cube whose designated face has cofaces
@@ -204,8 +212,13 @@ def retract(
         if cg.principal[i]:
             principal_mask |= 1 << i
 
+    rank = {c: i for i, c in enumerate(star.cliques)}  # lexicographic by ids
+
+    def lex(cube: tuple[int, int]):
+        return (rank[cube[0]], rank[cube[1]])
+
     if tie_break is None:
-        tie_break = lambda cube: (_ids(cube[0]), _ids(cube[1]))
+        tie_break = lex
 
     def sort_key(cube: tuple[int, int]):
         lower, upper = cube
@@ -215,32 +228,35 @@ def retract(
         assert t >= 0 and p >= 0
         return (b, t, p, tie_break(cube))
 
-    order = sorted(star.cubes(), key=sort_key)
-    present: dict[int, set[int]] = {}
-    for lower, upper in star.cubes():
-        present.setdefault(upper, set()).add(lower)
-    initial = complex_stats((l, u) for u, ls in present.items() for l in ls)
-
     oracle = HugOracle(cg, strict_principal=strict_principal)
+    # Only a cube with hugged members outside its lower set can fire; the
+    # rest leave both attempts at False, so they are never swept.
+    order = []
+    for upper in star.cliques:
+        hug_all = oracle.hugged_mask(upper)
+        if hug_all:
+            order.extend((lower, upper) for lower in _submasks(upper) if hug_all & ~lower)
+    order.sort(key=sort_key)
+    present = {upper: set(_submasks(upper)) for upper in star.cliques}
     supersets = cache(star.supersets)  # few distinct faces, many lookups
     events: list[CollapseEvent] = []
 
+    def cofaces(lower: int, upper: int) -> list[tuple[int, int]]:
+        """Present cubes having (lower, upper) as a face."""
+        return [
+            (a, b)
+            for b in supersets(upper)
+            for a in _submasks(lower)
+            if a in present[b]
+        ]
+
     def attempt(lower: int, upper: int) -> bool:
         """Try one collapse event; True when the cube was collapsed."""
-        lowers = present.get(upper)
-        if lowers is None or lower not in lowers:
+        if lower not in present[upper]:
             return False
         hugged = oracle.hugged_mask(upper) & (upper & ~lower)
-        if not hugged:
-            return False
         face_upper = upper & ~hugged
-        containing = [
-            (a, b)
-            for b in supersets(face_upper)
-            if b in present
-            for a in present[b]
-            if not a & ~lower
-        ]
+        containing = cofaces(lower, face_upper)
         if (lower, face_upper) not in containing:
             raise StructuralAssertionError(
                 "free face is absent although its cofaces are present",
@@ -282,12 +298,10 @@ def retract(
         non-hugged member; the pair must form a genuine elementary collapse
         (the face's only present cofaces are itself and the cube).
         """
-        lowers = present.get(upper)
-        if lowers is None or lower not in lowers:
+        lowers = present[upper]
+        if lower not in lowers:
             return False
         hugged = oracle.hugged_mask(upper) & (upper & ~lower)
-        if not hugged:
-            return False
         rest = upper & ~oracle.hugged_mask(upper) & ~lower
         if not rest:
             return False
@@ -295,14 +309,7 @@ def retract(
         face = (lower | y, upper)
         if face[0] not in lowers:
             return False
-        containing = [
-            (a, b)
-            for b in supersets(upper)
-            if b in present
-            for a in present[b]
-            if not a & ~face[0]
-        ]
-        if set(containing) != {(lower, upper), face}:
+        if set(cofaces(*face)) != {(lower, upper), face}:
             return False
         present[upper].discard(lower)
         present[upper].discard(face[0])
@@ -333,23 +340,15 @@ def retract(
             if not progressed:
                 break
 
-    blocked: list[tuple[int, int]] = []
-    for upper, lowers in present.items():
-        hug_all = oracle.hugged_mask(upper)
-        for lower in lowers:
-            if hug_all & (upper & ~lower):
-                blocked.append((lower, upper))
-    blocked.sort(key=lambda cube: (_ids(cube[0]), _ids(cube[1])))
-
+    blocked = sorted((c for c in order if c[0] in present[c[1]]), key=lex)
     final_cubes = frozenset(
         (l, u) for u, ls in present.items() for l in ls
     )
-    final = complex_stats(final_cubes)
     return RetractionTrace(
         events=tuple(events),
         skipped=tuple(blocked),
-        initial_stats=initial,
-        final_stats=final,
+        initial_stats=star.stats(),
+        final_stats=complex_stats(final_cubes),
         final_cubes=final_cubes,
         strict_principal=strict_principal,
     )
@@ -367,14 +366,16 @@ def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "Crossche
     oracle = HugOracle(cg, strict_principal=trace.strict_principal)
     mismatched_kept: list[tuple[int, int]] = []
     mismatched_lost: list[tuple[int, int]] = []
-    for lower, upper in star.cubes():
+    for upper in star.cliques:
         hug = oracle.hugged_mask(upper)
-        survives = not hug & (upper & ~lower) and not oracle.extendable_by_hugged(upper)
-        present = (lower, upper) in trace.final_cubes
-        if present and not survives:
-            mismatched_kept.append((lower, upper))
-        elif survives and not present:
-            mismatched_lost.append((lower, upper))
+        extendable = oracle.extendable_by_hugged(upper)
+        for lower in _submasks(upper):
+            survives = not hug & ~lower and not extendable
+            present = (lower, upper) in trace.final_cubes
+            if present and not survives:
+                mismatched_kept.append((lower, upper))
+            elif survives and not present:
+                mismatched_lost.append((lower, upper))
     return CrosscheckResult(
         ok=not mismatched_kept and not mismatched_lost,
         kept_but_redundant=tuple(mismatched_kept[:20]),

@@ -84,6 +84,19 @@ class TestBuildStar:
             star = build_star(cg_cache(g))
             assert star.stats().euler_characteristic == 1
 
+    def test_closed_form_stats_match_the_cube_stream(self, cg_cache):
+        from conftest import small_fixture_graphs
+
+        checked = 0
+        for g in small_fixture_graphs().values():
+            try:
+                star = build_star(cg_cache(g))
+            except CapExceededError:
+                continue
+            assert star.stats() == complex_stats(star.cubes())
+            checked += 1
+        assert checked == 11
+
     def test_supersets_by_definition(self, rake2_star, cg_cache):
         for star in (rake2_star, build_star(cg_cache(families.edgeless(3)))):
             for c in star.cliques:
@@ -148,6 +161,48 @@ class TestRetract:
                 ),
             )
             assert fwd.final_cubes == rev.final_cubes
+
+    def test_default_order_is_the_lexicographic_id_order(self, cg_cache, rake2_trace):
+        # the default tie-break ranks compatible sets by their position in
+        # star.cliques, which must be the lexicographic order of member ids
+        for g in (families.rake(1), families.rake(2), families.edgeless(3)):
+            star = build_star(cg_cache(g))
+            assert list(star.cliques) == sorted(star.cliques, key=ids)
+            by_ids = retract(star, tie_break=lambda c: (ids(c[0]), ids(c[1])))
+            default = rake2_trace if g == families.rake(2) else retract(star)
+            assert default.events == by_ids.events
+            assert default.final_cubes == by_ids.final_cubes
+
+    def test_edgeless4_audit_only(self, cg_cache):
+        # no non-principal partition, so no cube is swept and nothing fires
+        star = build_star(cg_cache(families.edgeless(4)))
+        trace = retract(star)
+        assert trace.events == ()
+        assert trace.skipped == ()
+        assert trace.final_stats == trace.initial_stats
+        assert trace.initial_stats.f_vector == (28433, 109592, 167060, 125848, 46836, 6888)
+        assert crosscheck_survivors(star, trace).ok
+
+    def test_sweep_skips_cubes_that_cannot_fire(self, cg_cache, rake2_star, monkeypatch):
+        # counts work, not time: only cubes with hugged members outside the
+        # lower set are ordered (each passes through the tie-break once), and
+        # edgeless(3) has none, so it neither orders a cube nor walks a coface
+        from raagspine.retraction import StarComplex
+
+        lookups = []
+        walk = StarComplex.supersets
+
+        def counted(self, clique):
+            lookups.append(clique)
+            return walk(self, clique)
+
+        monkeypatch.setattr(StarComplex, "supersets", counted)
+        star = build_star(cg_cache(families.edgeless(3)))
+        ordered = []
+        assert retract(star, tie_break=lambda c: ordered.append(c) or 0).events == ()
+        assert lookups == [] and ordered == []
+        retract(rake2_star, tie_break=lambda c: ordered.append(c) or 0)
+        assert len(ordered) == 17520 < rake2_star.cube_count() == 74825
 
     def test_strict_schedule_raises_on_rake2(self, rake2_star):
         # the single literal sweep stalls at c(0, {4,7,14,15,16}): the face
