@@ -229,9 +229,7 @@ def retract(
         return (b, t, p, tie_break(cube))
 
     oracle = HugOracle(cg, strict_principal=strict_principal)
-    # Only a cube with hugged members outside its lower set can fire; the
-    # rest leave both attempts at False, so they are never swept.
-    order = []
+    order = []  # the cubes that can fire; see the docstring
     for upper in star.cliques:
         hug_all = oracle.hugged_mask(upper)
         if hug_all:
