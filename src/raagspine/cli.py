@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import families
-from .compat import compatibility_graph, default_cache_dir
+from .compat import compatibility_graph
 from .conditions import condition_report, is_spiky
 from .graph import GraphError, SimplicialGraph, graph_to_text, mask_iter, parse_graph
 from .hugging import (
@@ -76,7 +76,7 @@ def cmd_analyze(args) -> int:
     g = _read_graph(args.graph)
     for warning in g.validation_warnings():
         logger.warning("%s", warning)
-    cg = compatibility_graph(g, cache_dir=args.cache_dir)
+    cg = compatibility_graph(g)
     retraction_stats = None
     if args.with_retraction:
         star = build_star(cg, cap=args.cap)
@@ -112,7 +112,7 @@ def cmd_partitions(args) -> int:
 
 def cmd_max_set(args) -> int:
     g = _read_graph(args.graph)
-    cg = compatibility_graph(g, cache_dir=args.cache_dir)
+    cg = compatibility_graph(g)
     wanted = _vertex_set(g, args)
     result = max_compatible(cg, wanted)
     payload = {
@@ -146,7 +146,7 @@ def cmd_retract(args) -> int:
     g = _read_graph(args.graph)
     if not args.warn_and_proceed and not is_spiky(g):
         raise GraphError("graph is not spiky; pass --warn-and-proceed to collapse anyway")
-    cg = compatibility_graph(g, cache_dir=args.cache_dir)
+    cg = compatibility_graph(g)
     star = build_star(cg, cap=args.cap)
     trace = retract(star, warn_and_proceed=args.warn_and_proceed)
     check = crosscheck_survivors(star, trace)
@@ -170,7 +170,7 @@ def cmd_retract(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    cg = compatibility_graph(g, cache_dir=args.cache_dir)
+    cg = compatibility_graph(g)
     if args.lemma == "oversize":
         verdict = verify_oversize_hugged(cg, budget=args.budget)
     elif args.lemma == "cond1-conclusion":
@@ -254,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, graph=True):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--cache-dir",
-            default=default_cache_dir(),
-            help="compatibility cache directory (default: $RAAG_CACHE_DIR)",
-        )
         if graph:
             p.add_argument("graph", help="graph file, or - for stdin")
 

@@ -3,24 +3,17 @@
 Two distinct partitions are compatible when they are adjacent (every base of
 one lies in the other's link) or some side of one misses some side of the
 other entirely.  The compatibility graph over all canonical partitions is the
-substrate for every clique computation downstream; it can be cached on disk
-keyed by a hash of the canonical graph text.
+substrate for every clique computation downstream.  It is built row by row
+on bitsets over node indices; ``is_adjacent`` and ``is_compatible`` are the
+pairwise definitions it agrees with.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-import os
 from dataclasses import dataclass
 
-from .graph import SimplicialGraph, graph_to_text
+from .graph import SimplicialGraph, mask_iter
 from .partitions import Partition, all_partitions
-
-logger = logging.getLogger(__name__)
-
-CACHE_SCHEMA_VERSION = 1
 
 
 def is_adjacent(g: SimplicialGraph, p: Partition, q: Partition) -> bool:
@@ -91,94 +84,61 @@ class CompatibilityGraph:
         return all(self.adj[i] & mask == mask & ~(1 << i) for i in ids)
 
 
-def graph_hash(g: SimplicialGraph) -> str:
-    return hashlib.sha256(graph_to_text(g).encode()).hexdigest()
+def _union(rows: list[int], mask: int) -> int:
+    """OR of ``rows[b]`` over the set bits b of ``mask``."""
+    out = 0
+    for b in mask_iter(mask):
+        out |= rows[b]
+    return out
 
 
-def _build(g: SimplicialGraph) -> CompatibilityGraph:
+def compatibility_graph(g: SimplicialGraph) -> CompatibilityGraph:
+    """The compatibility graph of g over all its canonical partitions.
+
+    One pass over the nodes records, per signed vertex s, the nodes having s
+    in ``side_a`` (bit i for node i) and in ``side_b`` (bit n + i), and per
+    vertex the nodes having it in the link or among the bases.  Row i is then
+    every node some quadrant of which with node i is empty, plus the crossing
+    nodes adjacent to it.  Adjacency is taken both ways, as in
+    ``is_adjacent``, and a crossing pair on which the two disagree raises
+    ``RuntimeError``.
+    """
     nodes = tuple(all_partitions(g))
-    principal_vertices = g.classify_vertices().principal
     n = len(nodes)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_compatible(g, nodes[i], nodes[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    everyone = (1 << n) - 1
+    in_side = [0] * (2 * g.n)
+    in_link = [0] * g.n
+    in_max = [0] * g.n
+    link_sets = [p.link_vertices() for p in nodes]
+    for i, p in enumerate(nodes):
+        for s in mask_iter(p.side_a):
+            in_side[s] |= 1 << i
+        for s in mask_iter(p.side_b):
+            in_side[s] |= 1 << n + i
+        for v in link_sets[i]:
+            in_link[v] |= 1 << i
+        for v in p.max_bases:
+            in_max[v] |= 1 << i
+    adj = []
+    for i, p in enumerate(nodes):
+        meet_a = _union(in_side, p.side_a)
+        meet_b = _union(in_side, p.side_b)
+        crossing = meet_a & meet_a >> n & meet_b & meet_b >> n & everyone
+        forward = everyone
+        for v in p.max_bases:
+            forward &= in_link[v]
+        outside_link = sum(1 << v for v in range(g.n) if v not in link_sets[i])
+        backward = everyone & ~_union(in_max, outside_link)
+        if (forward ^ backward) & crossing:
+            raise RuntimeError(
+                "adjacency asymmetry: the two defining formulations disagree"
+            )
+        adj.append((everyone & ~crossing | crossing & forward) & ~(1 << i))
+    principal_vertices = g.classify_vertices().principal
     return CompatibilityGraph(
         graph=g,
         nodes=nodes,
         adj=tuple(adj),
-        principal=tuple(bool(p.max_bases & principal_vertices) for p in nodes),
-        bases=tuple(p.max_bases for p in nodes),
-    )
-
-
-def default_cache_dir() -> str | None:
-    return os.environ.get("RAAG_CACHE_DIR") or None
-
-
-def compatibility_graph(
-    g: SimplicialGraph, cache_dir: str | None = None
-) -> CompatibilityGraph:
-    """Build (or load from cache) the compatibility graph of g.
-
-    ``cache_dir=None`` disables the disk cache.  Cache entries are
-    content-addressed by the graph hash; a corrupt or mismatched entry is
-    recomputed with a warning and rewritten.
-    """
-    if cache_dir is None:
-        return _build(g)
-    key = graph_hash(g)
-    path = os.path.join(cache_dir, f"compat-{key}.json")
-    if os.path.exists(path):
-        try:
-            cg = _load_cache(g, path, key)
-            logger.info("compatibility cache hit: %s", path)
-            return cg
-        except Exception as exc:  # corrupt cache: recompute
-            logger.warning("compatibility cache unusable (%s); recomputing", exc)
-    cg = _build(g)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(_to_payload(cg, key), fh)
-        os.replace(tmp, path)
-    except OSError as exc:
-        logger.warning("could not write compatibility cache: %s", exc)
-    return cg
-
-
-def _to_payload(cg: CompatibilityGraph, key: str) -> dict:
-    return {
-        "schema_version": CACHE_SCHEMA_VERSION,
-        "graph_hash": key,
-        "nodes": [[p.side_a, p.side_b] for p in cg.nodes],
-        "adjacency_bits": [format(row, "x") for row in cg.adj],
-    }
-
-
-def _load_cache(g: SimplicialGraph, path: str, key: str) -> CompatibilityGraph:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
-        raise ValueError("cache schema version mismatch")
-    if payload.get("graph_hash") != key:
-        raise ValueError("cache graph hash mismatch")
-    from .partitions import _partition_from_masks
-
-    nodes = tuple(
-        _partition_from_masks(g, a, b, validate=False) for a, b in payload["nodes"]
-    )
-    adj = tuple(int(row, 16) for row in payload["adjacency_bits"])
-    if len(adj) != len(nodes):
-        raise ValueError("cache adjacency size mismatch")
-    principal_vertices = g.classify_vertices().principal
-    return CompatibilityGraph(
-        graph=g,
-        nodes=nodes,
-        adj=adj,
         principal=tuple(bool(p.max_bases & principal_vertices) for p in nodes),
         bases=tuple(p.max_bases for p in nodes),
     )

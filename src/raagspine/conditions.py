@@ -34,7 +34,6 @@ class ConditionReport:
     condition2: bool
     condition2_witnesses: tuple[tuple[int, int, int], ...]  # (u, m, n)
     spiky: bool
-    spiky_char: bool
     barbed: bool
     barbed_witnesses: tuple[tuple[int, int], ...]  # (u, v)
     p_k: int
@@ -55,7 +54,7 @@ class ConditionReport:
                 for u, m, n in self.condition2_witnesses
             ],
             "spiky": self.spiky,
-            "spiky_characterization": self.spiky_char,
+            "spiky_characterization": self.spiky,
             "barbed": self.barbed,
             "barbed_witnesses": [
                 {"u": name(u), "v": name(v)} for u, v in self.barbed_witnesses
@@ -197,7 +196,6 @@ def condition_report(g: SimplicialGraph) -> ConditionReport:
         condition2=c2,
         condition2_witnesses=w2,
         spiky=spiky,
-        spiky_char=spiky,
         barbed=barbed,
         barbed_witnesses=wb,
         p_k=k,

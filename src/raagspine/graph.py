@@ -253,26 +253,20 @@ class SimplicialGraph:
         n = self.n
         dominators = tuple(self.dominators(v) for v in range(n))
         principal = frozenset(v for v in range(n) if not dominators[v])
+        above = [frozenset(w for w in range(n) if self.leq(v, w)) for v in range(n)]
         # equivalence classes of ~ (v <= w and w <= v), ids by least member
         class_of = [-1] * n
         classes: list[frozenset[int]] = []
         for v in range(n):
             if class_of[v] >= 0:
                 continue
-            members = frozenset(
-                w for w in range(n) if self.leq(v, w) and self.leq(w, v)
-            )
+            members = frozenset(w for w in above[v] if v in above[w])
             cid = len(classes)
             classes.append(members)
             for w in members:
                 class_of[w] = cid
-        maximal = frozenset(
-            v
-            for v in range(n)
-            if not any(
-                self.leq(v, w) and class_of[w] != class_of[v] for w in range(n)
-            )
-        )
+        strictly_above = tuple(above[v] - classes[class_of[v]] for v in range(n))
+        maximal = frozenset(v for v in range(n) if not strictly_above[v])
         relevant = frozenset(
             v for v in range(n) if len(self.partition_units(v)) >= 2
         )
@@ -283,6 +277,7 @@ class SimplicialGraph:
             class_of=tuple(class_of),
             classes=tuple(classes),
             dominators=dominators,
+            strictly_above=strictly_above,
         )
         self._classification = result
         return result
@@ -296,6 +291,7 @@ class VertexClassification:
     maximal: the ~-class is maximal under <= (all maximal vertices are principal).
     relevant: can serve as the base of a partition (>= 2 non-base doubled
     components).
+    strictly_above: per vertex v, the w with v <= w but not w <= v.
     """
 
     principal: frozenset[int]
@@ -304,6 +300,7 @@ class VertexClassification:
     class_of: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
     dominators: tuple[frozenset[int], ...]
+    strictly_above: tuple[frozenset[int], ...]
 
     @property
     def non_principal(self) -> frozenset[int]:

@@ -3,8 +3,8 @@
 A partition splits the signed vertex set V± into two thick sides and the
 doubled link of its base vertex.  Enumeration works per base: the doubled
 components other than the base singletons get distributed between the two
-sides in every possible way, with the base and its inverse forced apart, and
-thin results discarded.
+sides in every possible way, with the base and its inverse forced apart; each
+side then has at least two elements, so every result is thick.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ class PartitionError(ValueError):
 
 def _side_key(mask: int) -> tuple[int, ...]:
     return tuple(mask_iter(mask))
+
+
+def _canonical(m1: int, m2: int) -> tuple[int, int]:
+    """Two disjoint sides, the one with the smaller ``_side_key`` first.
+
+    Disjoint sorted tuples first differ at their least elements, so the side
+    holding the least element is the smaller one.
+    """
+    return (m1, m2) if m1 & -m1 <= m2 & -m2 else (m2, m1)
 
 
 @dataclass(frozen=True)
@@ -94,11 +103,8 @@ def _compute_split(g: SimplicialGraph, side1: int, side2: int) -> frozenset[int]
 
 def _compute_max(g: SimplicialGraph, split: frozenset[int]) -> frozenset[int]:
     """Maximal elements of split under <= (the legal bases)."""
-    return frozenset(
-        v
-        for v in split
-        if all(g.leq(w, v) for w in split if g.leq(v, w))
-    )
+    above = g.classify_vertices().strictly_above
+    return frozenset(v for v in split if not above[v] & split)
 
 
 def make_partition(
@@ -152,29 +158,21 @@ def _partition_from_masks(
                 raise PartitionError(
                     "a component of the graph minus the base star is split across sides"
                 )
-    if _side_key(m1) > _side_key(m2):
-        m1, m2 = m2, m1
+    m1, m2 = _canonical(m1, m2)
     return Partition(
         side_a=m1, side_b=m2, link=link, split=split, max_bases=max_bases, thick=thick
     )
 
 
-def enumerate_partitions(g: SimplicialGraph, base: int) -> list[Partition]:
-    """All partitions admitting ``base`` as a base vertex.
+def _side_masks(base: int, units: list[int]):
+    """Canonical (side_a, side_b) masks of every partition based at ``base``.
 
-    Every assignment of the non-base doubled components to the two sides is
-    tried (base and inverse forced apart); thin assignments are dropped.  A
-    non-relevant base yields an empty list (logged, not an error).
+    ``units`` are the base's partition units.  Every assignment of them to
+    the two sides is tried, with the base and its inverse forced apart; thin
+    ones never arise because each side gets a base letter and at least one
+    unit.
     """
-    g._check_vertex(base)
-    units = g.partition_units(base)
     k = len(units)
-    if k < 2:
-        logger.info(
-            "vertex %s is not relevant: %d non-base component(s)", g.names[base], k
-        )
-        return []
-    out = []
     pos = 1 << sv_pos(base)
     neg = 1 << sv_neg(base)
     for bits in range(1, (1 << k) - 1):
@@ -184,20 +182,38 @@ def enumerate_partitions(g: SimplicialGraph, base: int) -> list[Partition]:
                 m1 |= units[i]
             else:
                 m2 |= units[i]
-        out.append(_partition_from_masks(g, m1, m2, validate=False))
-    out.sort(key=Partition.key)
-    return out
+        yield _canonical(m1, m2)
+
+
+def _sorted_partitions(g: SimplicialGraph, masks) -> list[Partition]:
+    parts = (_partition_from_masks(g, m1, m2, validate=False) for m1, m2 in masks)
+    return sorted(parts, key=Partition.key)
+
+
+def enumerate_partitions(g: SimplicialGraph, base: int) -> list[Partition]:
+    """All partitions admitting ``base`` as a base vertex, in key order.
+
+    A non-relevant base yields an empty list (logged, not an error).
+    """
+    g._check_vertex(base)
+    units = g.partition_units(base)
+    k = len(units)
+    if k < 2:
+        logger.info(
+            "vertex %s is not relevant: %d non-base component(s)", g.names[base], k
+        )
+        return []
+    return _sorted_partitions(g, _side_masks(base, units))
 
 
 def all_partitions(g: SimplicialGraph) -> list[Partition]:
-    """Canonical duplicate-free list of every partition of the graph."""
-    seen: dict[tuple[int, int], Partition] = {}
-    for v in range(g.n):
-        if len(g.partition_units(v)) < 2:
-            continue
-        for p in enumerate_partitions(g, v):
-            seen.setdefault((p.side_a, p.side_b), p)
-    return sorted(seen.values(), key=Partition.key)
+    """Canonical duplicate-free list of every partition of the graph.
+
+    Side masks are de-duplicated before any partition is built: a partition
+    with several legal bases arises once per base.
+    """
+    masks = {m for v in range(g.n) for m in _side_masks(v, g.partition_units(v))}
+    return _sorted_partitions(g, masks)
 
 
 def whitehead_images(

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -9,14 +8,9 @@ from raagspine import SimplicialGraph, families, graph_to_text
 from raagspine.cli import main
 
 
-def run_cli(args, stdin_text=None, env=None, python_flags=()):
+def run_cli(args, stdin_text=None, python_flags=()):
     cmd = [sys.executable, *python_flags, "-m", "raagspine.cli", *args]
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        cmd, input=stdin_text, capture_output=True, text=True, env=full_env
-    )
+    return subprocess.run(cmd, input=stdin_text, capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +188,11 @@ class TestSubcommands:
         proc = run_cli(["apply-aut", "--side", "u,v", "--base", "u", t2_file])
         assert proc.returncode == 2
 
+    def test_main_callable_in_process(self, t2_file, capsys):
+        assert main(["conditions", t2_file]) == 0
+        out = capsys.readouterr().out
+        assert "spiky: True" in out
+
 
 class TestRefusals:
     """Inputs a command refuses end with exit code 2 and one error line."""
@@ -226,18 +225,3 @@ class TestRefusals:
         proc = run_cli(["gen", "--family", "path", "--n", "-2"])
         self.assert_refused(proc)
         assert proc.stdout == ""
-
-
-class TestCache:
-    def test_env_cache_dir(self, t2_file, tmp_path):
-        env = {"RAAG_CACHE_DIR": str(tmp_path)}
-        proc = run_cli(["max-set", "--all", "--json", t2_file], env=env)
-        assert json.loads(proc.stdout)["size"] == 6
-        assert any(p.name.startswith("compat-") for p in tmp_path.iterdir())
-        proc2 = run_cli(["max-set", "--all", "--json", t2_file], env=env)
-        assert json.loads(proc2.stdout)["size"] == 6
-
-    def test_main_callable_in_process(self, t2_file, capsys):
-        assert main(["conditions", t2_file]) == 0
-        out = capsys.readouterr().out
-        assert "spiky: True" in out

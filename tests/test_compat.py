@@ -1,10 +1,10 @@
-import json
-import math
+import dataclasses
+import hashlib
 
 import pytest
 
-from raagspine import all_partitions, families, is_adjacent, is_compatible
-from raagspine.compat import compatibility_graph, graph_hash
+from raagspine import all_partitions, compat, families, is_adjacent, is_compatible
+from raagspine.compat import compatibility_graph
 
 from conftest import doubled_names, find_partition, small_fixture_graphs
 
@@ -173,23 +173,48 @@ class TestCompatibilityGraph:
         assert len(set(ids)) == 14
         assert cg.is_clique(ids)
 
-    def test_cache_round_trip(self, tmp_path):
-        g = families.rake(2)
-        first = compatibility_graph(g, cache_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        payload = json.loads(files[0].read_text())
-        assert payload["schema_version"] == 1
-        assert payload["graph_hash"] == graph_hash(g)
-        second = compatibility_graph(g, cache_dir=str(tmp_path))
-        assert second.adj == first.adj
-        assert [p.key() for p in second.nodes] == [p.key() for p in first.nodes]
+    def test_rows_match_pairwise_definition(self, cg_cache):
+        graphs = [*small_fixture_graphs().values(), families.condition2_counterexample()]
+        for g in graphs:
+            cg = cg_cache(g)
+            for i, p in enumerate(cg.nodes):
+                for j, q in enumerate(cg.nodes):
+                    assert cg.adj[i] >> j & 1 == is_compatible(g, p, q)
 
-    def test_cache_corruption_recomputes(self, tmp_path):
-        g = families.rake(1)
-        compatibility_graph(g, cache_dir=str(tmp_path))
-        path = next(tmp_path.iterdir())
-        path.write_text("{not json")
-        cg = compatibility_graph(g, cache_dir=str(tmp_path))
-        assert cg.n == 4
-        assert json.loads(path.read_text())["graph_hash"] == graph_hash(g)
+    @pytest.mark.parametrize(
+        "g, nodes, edges, digest",
+        [
+            (families.rake(5), 1362, 415810, "ed8e6316b7cc6620"),
+            (families.edgeless(6), 2004, 224330, "4a068a99c60d80d1"),
+            (families.condition2_counterexample(), 580, 108542, "3747102df501ce31"),
+        ],
+        ids=["rake5", "edgeless6", "condition2"],
+    )
+    def test_pinned_large_graphs(self, g, nodes, edges, digest, cg_cache):
+        cg = cg_cache(g)
+        rows = ",".join(format(row, "x") for row in cg.adj)
+        assert cg.n == nodes
+        assert sum(row.bit_count() for row in cg.adj) // 2 == edges
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == digest
+
+    def test_asymmetric_adjacency_is_refused(self, monkeypatch):
+        # corrupt the bases of one partition of a crossing adjacent pair so that
+        # max(p) <= lk(q) still holds but max(q) <= lk(p) no longer does
+        g = families.compatibility_example_graph()
+        parts = all_partitions(g)
+        p, q = next(
+            (p, q)
+            for p in parts
+            for q in parts
+            if p != q
+            and all(s & t for s in p.sides() for t in q.sides())
+            and is_adjacent(g, p, q)
+        )
+        outside = next(v for v in range(g.n) if v not in p.link_vertices())
+        bad_q = dataclasses.replace(q, max_bases=q.max_bases | {outside})
+        with pytest.raises(RuntimeError, match="asymmetry"):
+            is_adjacent(g, p, bad_q)
+        corrupted = [bad_q if r == q else r for r in parts]
+        monkeypatch.setattr(compat, "all_partitions", lambda _: corrupted)
+        with pytest.raises(RuntimeError, match="asymmetry"):
+            compatibility_graph(g)

@@ -70,7 +70,7 @@ class TestSpiky:
         # is_spiky raises on internal disagreement; sweep all fixtures
         for g in small_fixture_graphs().values():
             report = condition_report(g)
-            assert report.spiky == report.spiky_char
+            assert report.to_dict(g)["spiky_characterization"] == report.spiky
             assert report.spiky == (report.condition1 and report.condition2)
 
 

@@ -72,11 +72,14 @@ class TestEnumeration:
         assert find_partition(g, parts, ["d", "a", "a^-1", "b", "b^-1", "e^-1"]) is not None
 
     def test_all_partitions_sorted_and_unique(self):
-        for g in small_fixture_graphs().values():
+        # edgeless(5): each partition arises from several bases
+        for g in [*small_fixture_graphs().values(), families.edgeless(5)]:
             parts = all_partitions(g)
             keys = [p.key() for p in parts]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+            per_base = {p for v in range(g.n) for p in enumerate_partitions(g, v)}
+            assert parts == sorted(per_base, key=lambda p: p.key())
 
     def test_edgeless_counts(self):
         assert len(all_partitions(families.edgeless(3))) == 22
