@@ -77,7 +77,7 @@ def check_condition1(g: SimplicialGraph):
             if m not in cls.principal:
                 continue
             for up in nonprincipal:
-                if up != u and g.distance(u, up) == 2 and up in g.adj[m]:
+                if up in g.distance_two(u) and up in g.adj[m]:
                     witnesses.append((u, up, m))
     return not witnesses, tuple(witnesses[:WITNESS_CAP])
 
@@ -120,7 +120,7 @@ def _spiky_characterization(g: SimplicialGraph) -> bool:
                 if v in cls.principal:
                     if u_relevant:
                         return False
-                elif g.distance(u, v) == 2:
+                elif v in g.distance_two(u):
                     return False
     return True
 
@@ -146,8 +146,8 @@ def is_barbed(g: SimplicialGraph):
     cls = g.classify_vertices()
     witnesses = []
     for u in sorted(cls.non_principal):
-        for v in range(g.n):
-            if g.distance(u, v) == 2 and not g.lt_circ(u, v):
+        for v in sorted(g.distance_two(u)):
+            if not g.lt_circ(u, v):
                 witnesses.append((u, v))
     return not witnesses, tuple(witnesses[:WITNESS_CAP])
 

@@ -64,7 +64,7 @@ class SimplicialGraph:
     i < j.
     """
 
-    __slots__ = ("names", "n", "index", "edges", "adj", "_classification")
+    __slots__ = ("names", "n", "index", "edges", "adj", "_classification", "_distance_two")
 
     def __init__(self, names: Sequence[str], edges: Iterable[tuple[str, str]]):
         names = tuple(names)
@@ -90,8 +90,12 @@ class SimplicialGraph:
         for i, j in edge_ids:
             neighbours[i].add(j)
             neighbours[j].add(i)
-        self.adj = tuple(frozenset(s) for s in neighbours)
+        self.adj = adj = tuple(frozenset(s) for s in neighbours)
         self._classification = None
+        self._distance_two = tuple(
+            frozenset().union(*(adj[m] for m in adj[v])) - adj[v] - {v}
+            for v in range(self.n)
+        )
 
     # -- basic protocol ------------------------------------------------
 
@@ -171,6 +175,11 @@ class SimplicialGraph:
                         return dist[y]
                     queue.append(y)
         return float("inf")
+
+    def distance_two(self, u: int) -> frozenset[int]:
+        """Vertices at distance exactly 2 from u: links of its link, minus st(u)."""
+        self._check_vertex(u)
+        return self._distance_two[u]
 
     # -- components ----------------------------------------------------
 

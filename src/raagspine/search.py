@@ -9,6 +9,17 @@ beats an incumbent (the size) or stops at a target (existence queries, which
 a second prefix-growing pass uses to pick the lexicographically least
 maximum clique as witness).  No heuristics are ever reported as answers.
 
+Candidate sets often split as joins: every node of one co-component (a
+component of the complement graph on the candidates) is adjacent to every
+node of another, so the largest clique is the union of the parts' largest
+cliques (the join rule of Gallai's modular decomposition, 1967).
+``max_compatible`` solves each part of the based nodes with its own solver
+and takes the union of the parts' least witnesses, which is the least
+witness.  Inside the search, a node that the colour bound does not prune
+solves the parts of its candidates one after another, each against a floor
+set by the incumbent, the sizes already found and the colour bounds of the
+parts still to come.
+
 ``clique_masks`` is the one clique enumerator: the star complex, its coface
 lookups and the oversize verifier all walk it.
 """
@@ -56,6 +67,28 @@ def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
     return order
 
 
+def _co_components(adj: Sequence[int], cand: int) -> list[int]:
+    """The components of the complement graph on cand, least node first.
+
+    Every node of one part is adjacent to every node of another, so a clique
+    of cand is a union of cliques of the parts.
+    """
+    parts = []
+    while cand:
+        part = frontier = cand & -cand
+        rest = cand ^ part
+        while frontier and rest:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rest & ~adj[low.bit_length() - 1]
+            rest ^= new
+            part |= new
+            frontier |= new
+        parts.append(part)
+        cand = rest
+    return parts
+
+
 class _CliqueSolver:
     def __init__(self, adj: Sequence[int], mask: int):
         # bit i of the renumbered graph is node order[i]; colouring in
@@ -75,7 +108,7 @@ class _CliqueSolver:
         """Largest clique size in cand if above the incumbent best, else best.
 
         Stops as soon as a clique of the target size is found."""
-        adj, keep = self.adj, self.keep
+        adj, colour_classes = self.adj, self.colour_classes
         limit = cand.bit_count() if target is None else target
 
         def grow(size: int, cand: int) -> bool:
@@ -86,20 +119,27 @@ class _CliqueSolver:
                     return True
             if size + cand.bit_count() <= best:
                 return False
-            kmin = best - size + 1
-            classes = []
-            colour = 0
-            uncoloured = cand
-            while uncoloured:
-                colour += 1
-                free = before = uncoloured
-                while free:
-                    low = free & -free
-                    free &= keep[low.bit_length() - 1]
-                    uncoloured ^= low
-                if colour >= kmin:
-                    classes.append((colour, before ^ uncoloured))
-            for colour, members in reversed(classes):
+            classes = colour_classes(cand)
+            if size + len(classes) <= best:  # the colour bound prunes
+                return False
+            parts = _co_components(adj, cand)
+            if len(parts) > 1:
+                # a join: the best clique is the sum of the parts' best, and
+                # each part must beat what the others can at most give
+                bounds = [len(colour_classes(part)) for part in parts]
+                rest = sum(bounds)
+                found = size
+                for part, bound in zip(parts, bounds):
+                    rest -= bound
+                    floor = best - found - rest
+                    got = self.expand(part, floor)
+                    if got <= floor:
+                        return False
+                    found += got
+                best = found
+                return best >= limit
+            for colour in range(len(classes), best - size, -1):
+                members = classes[colour - 1]
                 while members:
                     if size + colour <= best:
                         return False
@@ -112,6 +152,19 @@ class _CliqueSolver:
 
         grow(0, cand)
         return best
+
+    def colour_classes(self, cand: int) -> list[int]:
+        """Greedy colour classes of cand; their number bounds its largest clique."""
+        keep = self.keep
+        classes = []
+        while cand:
+            free = before = cand
+            while free:
+                low = free & -free
+                free &= keep[low.bit_length() - 1]
+                cand ^= low
+            classes.append(before ^ cand)
+        return classes
 
     def lex_least_clique(self, size: int) -> frozenset[int]:
         """Lexicographically least clique of exactly the given size."""
@@ -136,16 +189,20 @@ class _CliqueSolver:
 
 
 def max_compatible(cg: CompatibilityGraph, vertices: Iterable[int]) -> MaxSetResult:
-    """Largest pairwise-compatible set basable inside the given vertex set."""
+    """Largest pairwise-compatible set basable inside the given vertex set.
+
+    Each co-component of the basable nodes is solved on its own."""
     wanted = frozenset(vertices)
     mask = 0
     for i in cg.nodes_based_in(wanted):
         mask |= 1 << i
-    if not mask:
-        return MaxSetResult(size=0, witness=frozenset(), restricted_to=wanted)
-    solver = _CliqueSolver(cg.adj, mask)
-    size = solver.expand(solver.full)
-    witness = solver.lex_least_clique(size)
+    size = 0
+    witness: frozenset[int] = frozenset()
+    for part in _co_components(cg.adj, mask):
+        solver = _CliqueSolver(cg.adj, part)
+        part_size = solver.expand(solver.full)
+        size += part_size
+        witness |= solver.lex_least_clique(part_size)
     return MaxSetResult(size=size, witness=witness, restricted_to=wanted)
 
 

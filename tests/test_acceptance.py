@@ -80,6 +80,22 @@ def test_criterion_1_rake4(cg_cache):
     )
 
 
+@pytest.mark.slow
+def test_criterion_1_rake6(cg_cache):
+    # beyond the paper's table: the closed forms 3d-1 and 4d-2 at d = 6
+    start = time.time()
+    g = families.rake(6)
+    cg = cg_cache(g)
+    cls = g.classify_vertices()
+    m_l = max_compatible(cg, cls.principal).size
+    m_v = max_compatible(cg, frozenset(range(g.n))).size
+    elapsed = time.time() - start
+    ok = m_l == 17 and m_v == 22 and elapsed < 600
+    assert record(
+        "1 (slow)", ok, f"T6: M(L)={m_l} M(V)={m_v} in {elapsed:.0f}s (< 600s)"
+    )
+
+
 def test_criterion_2_headline_gap(cg_cache):
     g = families.rake(2)
     cg = cg_cache(g)

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
 from raagspine import all_partitions, compat, families, is_adjacent, is_compatible
 from raagspine.compat import compatibility_graph
+from raagspine.graph import SimplicialGraph
 
 from conftest import doubled_names, find_partition, small_fixture_graphs
 
@@ -174,12 +176,39 @@ class TestCompatibilityGraph:
         assert cg.is_clique(ids)
 
     def test_rows_match_pairwise_definition(self, cg_cache):
-        graphs = [*small_fixture_graphs().values(), families.condition2_counterexample()]
+        graphs = [
+            *small_fixture_graphs().values(),
+            families.condition2_counterexample(),
+            # has pairs whose only empty quadrant is side_a & side_a
+            SimplicialGraph(["a", "b", "c", "d"], [("a", "b")]),
+        ]
         for g in graphs:
             cg = cg_cache(g)
             for i, p in enumerate(cg.nodes):
                 for j, q in enumerate(cg.nodes):
                     assert cg.adj[i] >> j & 1 == is_compatible(g, p, q)
+
+    def test_side_a_quadrant_alone_never_decides(self):
+        # On every labelled graph with at most 5 vertices some pairs have
+        # side_a & side_a as their only empty quadrant, and each such pair is
+        # adjacent: that quadrant alone never decides compatibility there.
+        graphs = only_a_a = 0
+        for n in range(1, 6):
+            names = [f"x{k}" for k in range(n)]
+            pairs = list(itertools.combinations(names, 2))
+            for bits in range(1 << len(pairs)):
+                g = SimplicialGraph(names, [e for k, e in enumerate(pairs) if bits >> k & 1])
+                parts = all_partitions(g)
+                graphs += 1
+                for p in parts:
+                    for q in parts:
+                        if p.side_a & q.side_a or not (
+                            p.side_a & q.side_b and p.side_b & q.side_a and p.side_b & q.side_b
+                        ):
+                            continue
+                        only_a_a += 1
+                        assert is_adjacent(g, p, q)
+        assert graphs == 1099 and only_a_a > 0
 
     @pytest.mark.parametrize(
         "g, nodes, edges, digest",

@@ -64,6 +64,17 @@ class TestDistance:
         g = families.edgeless(2)
         assert g.distance(0, 1) == math.inf
 
+    def test_distance_two_matches_bfs(self):
+        graphs = [
+            *small_fixture_graphs().values(),
+            families.delta(),
+            families.condition2_counterexample(),
+            SimplicialGraph(["a", "b", "c", "d"], [("a", "b")]),
+        ]
+        for g in graphs:
+            for u in range(g.n):
+                assert g.distance_two(u) == {v for v in range(g.n) if g.distance(u, v) == 2}
+
 
 class TestComponents:
     def test_rake_hub(self):

@@ -11,6 +11,8 @@ from raagspine import (
 from raagspine.graph import mask_iter
 from raagspine.search import (
     CapExceededError,
+    _CliqueSolver,
+    _co_components,
     _degeneracy_order,
     clique_masks,
     naive_max_clique_size,
@@ -43,7 +45,7 @@ def reference_degeneracy_order(adj, mask):
 
 
 class TestRakeNumbers:
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_principal_rank_and_spine_dimension(self, d, cg_cache):
         g = families.rake(d)
         cg = cg_cache(g)
@@ -57,6 +59,18 @@ class TestRakeNumbers:
         cg = cg_cache(g)
         assert max_compatible(cg, vertex_ids(g, ["v"])).size == 2 * d - 1
         assert max_compatible(cg, vertex_ids(g, ["u"])).size == d - 1
+
+
+class TestConditionTwoCounterexample:
+    def test_principal_rank(self, cg_cache):
+        g = families.condition2_counterexample()
+        cg = cg_cache(g)
+        principal = g.classify_vertices().principal
+        result = max_compatible(cg, principal)
+        assert result.size == 22
+        assert len(result.witness) == 22
+        assert cg.is_clique(result.witness)
+        assert all(cg.principal[i] and cg.bases[i] & principal for i in result.witness)
 
 
 class TestDeltaNumbers:
@@ -198,6 +212,47 @@ class TestSolverProperties:
             for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
                 mask = based_mask(cg, wanted)
                 assert _degeneracy_order(adj, mask) == reference_degeneracy_order(adj, mask)
+
+
+class TestJoinSplit:
+    def test_co_components_split_the_based_mask(self, cg_cache):
+        for g in small_fixture_graphs().values():
+            cg = cg_cache(g)
+            for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
+                mask = based_mask(cg, wanted)
+                parts = _co_components(cg.adj, mask)
+                assert all(parts) and sum(parts) == mask
+                assert parts == sorted(parts, key=lambda part: part & -part)
+                for p, q in itertools.combinations(parts, 2):
+                    assert not p & q
+                    for a in mask_iter(p):
+                        assert cg.adj[a] & q == q
+                # no part splits further: its complement graph is connected
+                for part in parts:
+                    nodes = list(mask_iter(part))
+                    seen, todo = {nodes[0]}, [nodes[0]]
+                    while todo:
+                        a = todo.pop()
+                        for b in nodes:
+                            if b not in seen and not cg.edge(a, b):
+                                seen.add(b)
+                                todo.append(b)
+                    assert len(seen) == len(nodes)
+
+    def test_one_solver_per_part(self, cg_cache, monkeypatch):
+        # counts work, not time: delta's principal candidates are a join of
+        # two parts, each searched by its own solver
+        built = []
+        init = _CliqueSolver.__init__
+
+        def counted(self, adj, mask):
+            built.append(mask.bit_count())
+            init(self, adj, mask)
+
+        monkeypatch.setattr(_CliqueSolver, "__init__", counted)
+        g = families.delta()
+        assert max_compatible(cg_cache(g), g.classify_vertices().principal).size == 11
+        assert built == [74, 60]
 
 
 def brute_force_cliques(adj, cand, max_size):
