@@ -128,23 +128,7 @@ class SimplicialGraph:
 
     def validation_warnings(self) -> list[str]:
         """Non-fatal observations (disconnected input is accepted)."""
-        warnings = []
-        if self.n > 1:
-            seen = self._component_of(0)
-            if len(seen) < self.n:
-                warnings.append("graph is disconnected")
-        return warnings
-
-    def _component_of(self, v: int) -> set[int]:
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+        return ["graph is disconnected"] if len(self._components(frozenset())) > 1 else []
 
     # -- links, stars, distance ----------------------------------------
 
@@ -189,7 +173,10 @@ class SimplicialGraph:
         Returned in increasing order of their least vertex id.
         """
         self._check_vertex(v)
-        removed = self.star(v)
+        return self._components(self.star(v))
+
+    def _components(self, removed: frozenset[int]) -> list[frozenset[int]]:
+        """Connected components of the full subgraph on V minus removed."""
         seen: set[int] = set()
         comps = []
         for start in range(self.n):

@@ -26,9 +26,22 @@ from .graph import (
 
 logger = logging.getLogger(__name__)
 
+# Bound on the side assignments one enumeration may try; a base with k >= 2
+# partition units has 2^k - 2.  Edgeless(8) needs 131,056 and passes;
+# edgeless(9) needs 589,806 and is refused before any is tried.
+SIDE_ASSIGNMENT_CAP = 1 << 17
+
 
 class PartitionError(ValueError):
     pass
+
+
+class CapExceededError(RuntimeError):
+    """Enumeration aborted: the requested cap was exceeded."""
+
+    def __init__(self, cap: int, what: str = "sets"):
+        super().__init__(f"enumeration exceeded cap of {cap} {what}")
+        self.cap = cap
 
 
 def _side_key(mask: int) -> tuple[int, ...]:
@@ -185,6 +198,13 @@ def _side_masks(base: int, units: list[int]):
         yield _canonical(m1, m2)
 
 
+def _check_assignments(unit_counts: Iterable[int]) -> None:
+    """Raise CapExceededError if the bases' side assignments pass the cap."""
+    total = sum((1 << k) - 2 for k in unit_counts if k >= 2)
+    if total > SIDE_ASSIGNMENT_CAP:
+        raise CapExceededError(SIDE_ASSIGNMENT_CAP, "side assignments")
+
+
 def _sorted_partitions(g: SimplicialGraph, masks) -> list[Partition]:
     parts = (_partition_from_masks(g, m1, m2, validate=False) for m1, m2 in masks)
     return sorted(parts, key=Partition.key)
@@ -203,6 +223,7 @@ def enumerate_partitions(g: SimplicialGraph, base: int) -> list[Partition]:
             "vertex %s is not relevant: %d non-base component(s)", g.names[base], k
         )
         return []
+    _check_assignments([k])
     return _sorted_partitions(g, _side_masks(base, units))
 
 
@@ -212,7 +233,9 @@ def all_partitions(g: SimplicialGraph) -> list[Partition]:
     Side masks are de-duplicated before any partition is built: a partition
     with several legal bases arises once per base.
     """
-    masks = {m for v in range(g.n) for m in _side_masks(v, g.partition_units(v))}
+    units = [g.partition_units(v) for v in range(g.n)]
+    _check_assignments(len(u) for u in units)
+    masks = {m for v, u in enumerate(units) for m in _side_masks(v, u)}
     return _sorted_partitions(g, masks)
 
 

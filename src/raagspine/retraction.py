@@ -156,7 +156,7 @@ class RetractionTrace:
     skipped: tuple[tuple[int, int], ...]  # still-blocked cubes with hugged members
     initial_stats: ComplexStats
     final_stats: ComplexStats
-    final_cubes: frozenset[tuple[int, int]]
+    removed: frozenset[tuple[int, int]]  # the collapsed cubes; the rest survive
     strict_principal: bool
 
     def to_dict(self) -> dict:
@@ -189,9 +189,11 @@ def retract(
     against the current complex; a cube whose designated face has cofaces
     outside it is left alone and retried on the next sweep, and sweeps repeat
     until no event fires.  Blocked cubes that remain blocked at the fixpoint
-    are reported in the trace.  (There are graphs, the 2-rake among them,
-    where a designated face is a face of a cube that genuinely survives, so a
-    fully literal single sweep cannot complete; see the README.)
+    are reported in the trace, beside the set of removed cubes, which is the
+    only record of the complex: the final f-vector is the star's closed form
+    minus theirs.  (There are graphs, the 2-rake among them, where a
+    designated face is a face of a cube that genuinely survives, so a fully
+    literal single sweep cannot complete; see the README.)
 
     ``strict_schedule`` raises a StructuralAssertionError at the first
     blocked event instead, reproducing the single-sweep schedule literally.
@@ -235,7 +237,7 @@ def retract(
         if hug_all:
             order.extend((lower, upper) for lower in _submasks(upper) if hug_all & ~lower)
     order.sort(key=sort_key)
-    present = {upper: set(_submasks(upper)) for upper in star.cliques}
+    removed: set[tuple[int, int]] = set()
     supersets = cache(star.supersets)  # few distinct faces, many lookups
     events: list[CollapseEvent] = []
 
@@ -245,12 +247,12 @@ def retract(
             (a, b)
             for b in supersets(upper)
             for a in _submasks(lower)
-            if a in present[b]
+            if (a, b) not in removed
         ]
 
     def attempt(lower: int, upper: int) -> bool:
         """Try one collapse event; True when the cube was collapsed."""
-        if lower not in present[upper]:
+        if (lower, upper) in removed:
             return False
         hugged = oracle.hugged_mask(upper) & (upper & ~lower)
         face_upper = upper & ~hugged
@@ -277,8 +279,7 @@ def retract(
                 (lower, upper),
                 (lower, face_upper),
             )
-        for a, b in containing:
-            present[b].discard(a)
+        removed.update(containing)
         events.append(
             CollapseEvent(
                 target=(lower, upper),
@@ -296,8 +297,7 @@ def retract(
         non-hugged member; the pair must form a genuine elementary collapse
         (the face's only present cofaces are itself and the cube).
         """
-        lowers = present[upper]
-        if lower not in lowers:
+        if (lower, upper) in removed:
             return False
         hugged = oracle.hugged_mask(upper) & (upper & ~lower)
         rest = upper & ~oracle.hugged_mask(upper) & ~lower
@@ -305,12 +305,11 @@ def retract(
             return False
         y = rest & -rest
         face = (lower | y, upper)
-        if face[0] not in lowers:
+        if face in removed:
             return False
         if set(cofaces(*face)) != {(lower, upper), face}:
             return False
-        present[upper].discard(lower)
-        present[upper].discard(face[0])
+        removed.update(((lower, upper), face))
         events.append(
             CollapseEvent(
                 target=(lower, upper),
@@ -322,32 +321,28 @@ def retract(
         )
         return True
 
-    while True:
-        progressed = False
-        for lower, upper in order:
-            if attempt(lower, upper):
-                progressed = True
-        if not progressed:
-            break
-    if not strict_schedule:
-        while True:
+    def cleanup(lower: int, upper: int) -> bool:
+        return attempt(lower, upper) or attempt_pair_down(lower, upper)
+
+    for step in (attempt,) if strict_schedule else (attempt, cleanup):
+        progressed = True
+        while progressed:
             progressed = False
             for lower, upper in order:
-                if attempt(lower, upper) or attempt_pair_down(lower, upper):
+                if step(lower, upper):
                     progressed = True
-            if not progressed:
-                break
 
-    blocked = sorted((c for c in order if c[0] in present[c[1]]), key=lex)
-    final_cubes = frozenset(
-        (l, u) for u, ls in present.items() for l in ls
-    )
+    initial_stats = star.stats()
+    gone = Counter((upper & ~lower).bit_count() for lower, upper in removed)
+    f_vector = [c - gone[d] for d, c in enumerate(initial_stats.f_vector)]
+    while f_vector and not f_vector[-1]:
+        f_vector.pop()
     return RetractionTrace(
         events=tuple(events),
-        skipped=tuple(blocked),
-        initial_stats=star.stats(),
-        final_stats=complex_stats(final_cubes),
-        final_cubes=final_cubes,
+        skipped=tuple(sorted((c for c in order if c not in removed), key=lex)),
+        initial_stats=initial_stats,
+        final_stats=_stats_of(tuple(f_vector)),
+        removed=frozenset(removed),
         strict_principal=strict_principal,
     )
 
@@ -369,7 +364,7 @@ def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "Crossche
         extendable = oracle.extendable_by_hugged(upper)
         for lower in _submasks(upper):
             survives = not hug & ~lower and not extendable
-            present = (lower, upper) in trace.final_cubes
+            present = (lower, upper) not in trace.removed
             if present and not survives:
                 mismatched_kept.append((lower, upper))
             elif survives and not present:

@@ -32,14 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .compat import CompatibilityGraph
 from .graph import mask_iter
-
-
-class CapExceededError(RuntimeError):
-    """Enumeration aborted: the requested cap was exceeded."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"enumeration exceeded cap of {cap} sets")
-        self.cap = cap
+from .partitions import CapExceededError
 
 
 @dataclass(frozen=True)

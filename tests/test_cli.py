@@ -75,6 +75,14 @@ class TestAnalyze:
         proc = run_cli(["analyze", "--with-retraction", "--cap", "10", t2_file])
         assert proc.returncode == 3
 
+    def test_too_many_side_assignments_exit_code(self):
+        # edgeless(9) has 9 * (2^16 - 2) side assignments, past the bound
+        gen = run_cli(["gen", "--family", "edgeless", "--n", "9"])
+        proc = run_cli(["partitions", "-"], stdin_text=gen.stdout)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
     def test_with_retraction_report(self, tmp_path):
         gen = run_cli(["gen", "--family", "rake", "--d", "1"])
         proc = run_cli(["analyze", "--with-retraction", "--json", "-"], stdin_text=gen.stdout)

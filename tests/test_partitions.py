@@ -10,7 +10,7 @@ from raagspine import (
     whitehead_images,
 )
 from raagspine.graph import mask_iter, sv_inverse
-from raagspine.partitions import PartitionError, render_word
+from raagspine.partitions import CapExceededError, PartitionError, render_word
 
 from conftest import doubled_names, find_partition, signed, signed_set, small_fixture_graphs
 
@@ -84,6 +84,22 @@ class TestEnumeration:
     def test_edgeless_counts(self):
         assert len(all_partitions(families.edgeless(3))) == 22
         assert len(all_partitions(families.edgeless(4))) == 112
+
+    def test_side_assignments_bounded_before_enumeration(self):
+        # edgeless(16) has 2^30 - 2 side assignments per base; both entry
+        # points must refuse before trying one
+        g = families.edgeless(16)
+        with pytest.raises(CapExceededError):
+            all_partitions(g)
+        with pytest.raises(CapExceededError):
+            enumerate_partitions(g, 0)
+
+    def test_cap_error_is_one_class(self):
+        import raagspine
+        import raagspine.search
+
+        assert raagspine.CapExceededError is CapExceededError
+        assert raagspine.search.CapExceededError is CapExceededError
 
 
 class TestInvariants:
