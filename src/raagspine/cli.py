@@ -62,13 +62,18 @@ def _signed_ids(g: SimplicialGraph, text: str) -> list[int]:
     return out
 
 
+def _vertex_names(g: SimplicialGraph, text: str) -> frozenset[int]:
+    """Vertex ids of comma-separated names; spaces around a name are ignored."""
+    return frozenset(g.vertex_id(v.strip()) for v in text.split(","))
+
+
 def _vertex_set(g: SimplicialGraph, args) -> frozenset[int]:
     if args.all:
         return frozenset(range(g.n))
     if args.principal:
         return g.classify_vertices().principal
     if args.vertices:
-        return frozenset(g.vertex_id(v.strip()) for v in args.vertices.split(","))
+        return _vertex_names(g, args.vertices)
     return frozenset(range(g.n))
 
 
@@ -176,14 +181,11 @@ def cmd_verify(args) -> int:
     elif args.lemma == "cond1-conclusion":
         verdict = verify_hug_compat(cg, budget=args.budget)
     elif args.lemma == "cond2-conclusion":
-        q_bases = None
-        r_bases = None
-        if args.q_bases:
-            q_bases = frozenset(g.vertex_id(v) for v in args.q_bases.split(","))
-        if args.r_bases:
-            r_bases = frozenset(g.vertex_id(v) for v in args.r_bases.split(","))
         verdict = verify_replacement(
-            cg, budget=args.budget, q_bases=q_bases, r_bases=r_bases
+            cg,
+            budget=args.budget,
+            q_bases=_vertex_names(g, args.q_bases) if args.q_bases else None,
+            r_bases=_vertex_names(g, args.r_bases) if args.r_bases else None,
         )
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.lemma)

@@ -10,7 +10,8 @@ pairwise definitions it agrees with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import SimplicialGraph, mask_iter
 from .partitions import Partition, all_partitions
@@ -54,6 +55,8 @@ class CompatibilityGraph:
 
     ``adj[i]`` is a bitmask over node indices; ``principal[i]`` says whether
     node i is a principal partition; ``bases[i]`` is its set of legal bases.
+    ``_hug_configs`` memoises ``hugging.hug_configs`` per (node,
+    strict_principal); it is filled lazily and is not part of the value.
     """
 
     graph: SimplicialGraph
@@ -61,10 +64,18 @@ class CompatibilityGraph:
     adj: tuple[int, ...]
     principal: tuple[bool, ...]
     bases: tuple[frozenset[int], ...]
+    _hug_configs: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def node_of(self) -> dict[Partition, int]:
+        """The node id of each partition."""
+        return {p: i for i, p in enumerate(self.nodes)}
 
     def edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)

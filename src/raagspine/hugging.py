@@ -14,6 +14,11 @@ empty half gives one thin "almost"-partition, which is ignored; q is then
 1-hugged by the remaining valid one.  q is hugged *in* a compatible set when
 the hugging partitions can be found among its members.
 
+``hug_configs`` is the one construction of this relation: it tabulates, once
+per node, every configuration of huggers in the compatibility graph.
+``is_hugged_in`` (and through it the retraction's ``HugOracle``) looks a
+member set up in that table, and the brute-force verifiers iterate it.
+
 By default the dominator m may itself be non-principal; ``strict_principal``
 restricts detection to principal m.
 """
@@ -21,6 +26,7 @@ restricts detection to principal m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional
 
 from .compat import CompatibilityGraph
@@ -53,14 +59,6 @@ class HugWitness:
         return p1, p2
 
 
-def _dominators(g: SimplicialGraph, u: int, strict_principal: bool) -> list[int]:
-    cls = g.classify_vertices()
-    doms = cls.dominators[u]
-    if strict_principal:
-        doms = doms & cls.principal
-    return sorted(doms)
-
-
 def hug_context(g: SimplicialGraph, q: Partition, u: int, m: int):
     """The hugged side Q of q and the units of m inside it.
 
@@ -79,8 +77,22 @@ def hug_context(g: SimplicialGraph, q: Partition, u: int, m: int):
     return side_q, units_in_q
 
 
-def _distributions(m: int, units: list[int]):
-    """The 2^k side-mask pairs ({m} ∪ C1, {m^-1} ∪ C2) over the k units."""
+def hug_candidates(
+    g: SimplicialGraph, q: Partition, m: int
+) -> list[tuple[Partition, Partition]]:
+    """All ordered distributions (P1, P2) for hugging q with base m.
+
+    Members with an empty half come back thin (``thick`` False); a pair with
+    one thin member is a 1-hug candidate.  2^k pairs for k units inside Q,
+    bit i of the pair's index putting unit i into P1.
+    """
+    cls = g.classify_vertices()
+    if q.max_bases & cls.principal:
+        raise HugError("hugging targets a non-principal partition")
+    u = min(q.max_bases)
+    _, units = hug_context(g, q, u, m)
+    rest = ((1 << (2 * g.n)) - 1) & ~g.link_mask(m)
+    pairs = []
     for bits in range(1 << len(units)):
         p1 = 1 << sv_pos(m)
         p2 = 1 << sv_neg(m)
@@ -89,28 +101,68 @@ def _distributions(m: int, units: list[int]):
                 p1 |= mu
             else:
                 p2 |= mu
-        yield p1, p2
+        pairs.append(
+            tuple(
+                _partition_from_masks(g, side, rest & ~side, validate=False)
+                for side in (p1, p2)
+            )
+        )
+    return pairs
 
 
-def hug_candidates(
-    g: SimplicialGraph, q: Partition, m: int
-) -> list[tuple[Partition, Partition]]:
-    """All ordered distributions (P1, P2) for hugging q with base m.
+def hug_configs(
+    cg: CompatibilityGraph, q_id: int, *, strict_principal: bool = False
+) -> tuple[HugWitness, ...]:
+    """Every way the graph's partitions can hug node q_id.
 
-    Members with an empty half come back thin (``thick`` False); a pair with
-    one thin member is a 1-hug candidate.  2^k pairs for k units inside Q.
+    One witness per distribution of ``hug_candidates``, for each legal base u
+    of q and each dominator m of u in id order, so a configuration repeats
+    once per legal base.  A thin half is dropped, leaving a one-hug.  Built
+    on first use and memoised on ``cg`` per (q_id, strict_principal).
     """
+    key = (q_id, strict_principal)
+    if key not in cg._hug_configs:
+        cg._hug_configs[key] = tuple(_build_configs(cg, q_id, strict_principal))
+    return cg._hug_configs[key]
+
+
+def _build_configs(cg: CompatibilityGraph, q_id: int, strict_principal: bool):
+    g = cg.graph
+    q = cg.nodes[q_id]
     cls = g.classify_vertices()
-    if q.max_bases & cls.principal:
-        raise HugError("hugging targets a non-principal partition")
-    u = min(q.max_bases)
-    _, units = hug_context(g, q, u, m)
-    rest = ((1 << (2 * g.n)) - 1) & ~g.link_mask(m)
+    for u in sorted(q.max_bases):
+        doms = cls.dominators[u]
+        for m in sorted(doms & cls.principal if strict_principal else doms):
+            side_q, units = hug_context(g, q, u, m)
+            for p1, p2 in hug_candidates(g, q, m):
+                huggers = tuple(cg.node_of.get(p) for p in (p1, p2) if p.thick)
+                if any(j is None or m not in cg.bases[j] for j in huggers):
+                    raise RuntimeError(
+                        "hug construction produced a partition that is not "
+                        "a node based at the dominator"
+                    )
+                if not huggers:
+                    continue
+                c1 = p1.side_of(sv_pos(m)) & ~(1 << sv_pos(m))
+                c2 = p2.side_of(sv_neg(m)) & ~(1 << sv_neg(m))
+                yield HugWitness(
+                    kind="two-hug" if len(huggers) == 2 else "one-hug",
+                    base_m=m,
+                    base_u=u,
+                    hugged_side=side_q,
+                    comp_split=(
+                        tuple(mu for mu in units if mu & c1),
+                        tuple(mu for mu in units if mu & c2),
+                    ),
+                    huggers=huggers,
+                )
 
-    def partition(side: int) -> Partition:
-        return _partition_from_masks(g, side, rest & ~side, validate=False)
 
-    return [(partition(p1), partition(p2)) for p1, p2 in _distributions(m, units)]
+def _preference(w: HugWitness) -> tuple:
+    """One-hug by the {m} side, then by the {m^-1} side, then the two-hug
+    with the least {m}-side unit mask."""
+    c1, c2 = w.comp_split
+    return (bool(c2), bool(c1), sum(c1))
 
 
 def is_hugged_in(
@@ -122,70 +174,19 @@ def is_hugged_in(
 ) -> Optional[HugWitness]:
     """A hug witness for member q_id inside the compatible set, or None.
 
-    Searches every legal base u of q, every dominator m of u, and both kinds
-    of hug.  Huggers must be members themselves and be based at m.
+    The first (u, m) group of ``hug_configs`` with a configuration whose
+    huggers are all members decides; within it ``_preference`` picks.
     """
-    member_ids = sorted(set(members))
-    if q_id not in member_ids:
+    mask = cg.members_mask(members)
+    if not mask >> q_id & 1:
         raise HugError("the partition is not a member of the set")
     if cg.principal[q_id]:
         raise HugError("only non-principal partitions can be hugged")
-    g = cg.graph
-    q = cg.nodes[q_id]
-    for u in sorted(q.max_bases):
-        for m in _dominators(g, u, strict_principal):
-            side_q, units = hug_context(g, q, u, m)
-            target = 0
-            for mu in units:
-                target |= mu
-            pos_bit = 1 << sv_pos(m)
-            neg_bit = 1 << sv_neg(m)
-            plus: dict[int, int] = {}
-            minus: dict[int, int] = {}
-            for j in member_ids:
-                if j == q_id or m not in cg.bases[j]:
-                    continue
-                p = cg.nodes[j]
-                for side in p.sides():
-                    if side & pos_bit and not (side & ~pos_bit) & ~target:
-                        plus.setdefault(side & ~pos_bit, j)
-                    if side & neg_bit and not (side & ~neg_bit) & ~target:
-                        minus.setdefault(side & ~neg_bit, j)
-            if not plus and not minus:
-                continue
-
-            def units_of(mask: int) -> tuple[int, ...]:
-                return tuple(mu for mu in units if mu & mask)
-
-            if target in plus:
-                return HugWitness(
-                    kind="one-hug",
-                    base_m=m,
-                    base_u=u,
-                    hugged_side=side_q,
-                    comp_split=(units_of(target), ()),
-                    huggers=(plus[target],),
-                )
-            if target in minus:
-                return HugWitness(
-                    kind="one-hug",
-                    base_m=m,
-                    base_u=u,
-                    hugged_side=side_q,
-                    comp_split=((), units_of(target)),
-                    huggers=(minus[target],),
-                )
-            for s1 in sorted(plus):
-                s2 = target & ~s1
-                if s2 in minus:
-                    return HugWitness(
-                        kind="two-hug",
-                        base_m=m,
-                        base_u=u,
-                        hugged_side=side_q,
-                        comp_split=(units_of(s1), units_of(s2)),
-                        huggers=(plus[s1], minus[s2]),
-                    )
+    configs = hug_configs(cg, q_id, strict_principal=strict_principal)
+    for _, group in groupby(configs, key=lambda w: (w.base_u, w.base_m)):
+        found = [w for w in group if all(mask >> j & 1 for j in w.huggers)]
+        if found:
+            return min(found, key=_preference)
     return None
 
 
@@ -314,38 +315,6 @@ def verify_oversize_hugged(
     return Verdict(status="pass", checked=checked)
 
 
-def _hug_configs(
-    cg: CompatibilityGraph, q_id: int, *, strict_principal: bool = False
-):
-    """All ways the global partition set can hug node q_id.
-
-    Yields (hugger node ids tuple, m).  Huggers are valid partitions; thin
-    halves are dropped, giving 1-hug configurations.
-    """
-    g = cg.graph
-    q = cg.nodes[q_id]
-    index = {(cg.nodes[j].side_a, cg.nodes[j].side_b): j for j in range(cg.n)}
-    full = (1 << (2 * g.n)) - 1
-    for u in sorted(q.max_bases):
-        for m in _dominators(g, u, strict_principal):
-            _, units = hug_context(g, q, u, m)
-            rest = full & ~g.link_mask(m)
-            for sides in _distributions(m, units):
-                ids = []
-                for side in sides:
-                    if side.bit_count() < 2:
-                        continue
-                    part = _partition_from_masks(g, side, rest & ~side, validate=False)
-                    node = index.get((part.side_a, part.side_b))
-                    if node is None:
-                        raise RuntimeError(
-                            "hug construction produced a partition missing from the graph"
-                        )
-                    ids.append(node)
-                if ids:
-                    yield tuple(sorted(set(ids))), m
-
-
 def verify_hug_compat(
     cg: CompatibilityGraph, budget: int, *, strict_principal: bool = False
 ) -> Verdict:
@@ -359,8 +328,8 @@ def verify_hug_compat(
     witnesses = []
     np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
     for q_id in np_nodes:
-        for huggers, _m in _hug_configs(cg, q_id, strict_principal=strict_principal):
-            hugger_mask = cg.members_mask(huggers)
+        for config in hug_configs(cg, q_id, strict_principal=strict_principal):
+            hugger_mask = cg.members_mask(config.huggers)
             for q2 in np_nodes:
                 if q2 == q_id:
                     continue
@@ -372,7 +341,7 @@ def verify_hug_compat(
                 if cg.adj[q2] & hugger_mask != hugger_mask:
                     continue
                 if not cg.edge(q2, q_id):
-                    witnesses.append((q_id, huggers, q2))
+                    witnesses.append((q_id, tuple(sorted(config.huggers)), q2))
     if witnesses:
         return Verdict(
             status="fail",
@@ -432,20 +401,17 @@ def verify_replacement(
         for i in range(cg.n)
         if cg.principal[i] and (r_bases is None or cg.bases[i] & r_bases)
     ]
-    configs = {
-        q_id: list(_hug_configs(cg, q_id, strict_principal=strict_principal))
-        for q_id in np_nodes
-    }
     for qa in np_nodes:
         for qb in np_nodes:
             if qb <= qa or not cg.edge(qa, qb):
                 continue
-            for huggers_a, _ in configs[qa]:
-                for huggers_b, _ in configs[qb]:
-                    group = set(huggers_a) | set(huggers_b) | {qa, qb}
+            for wa in hug_configs(cg, qa, strict_principal=strict_principal):
+                for wb in hug_configs(cg, qb, strict_principal=strict_principal):
+                    huggers = {*wa.huggers, *wb.huggers}
+                    group = huggers | {qa, qb}
                     if not cg.is_clique(group):
                         continue
-                    hugger_mask = cg.members_mask(set(huggers_a) | set(huggers_b))
+                    hugger_mask = cg.members_mask(huggers)
                     for r in principal_nodes:
                         if r in group:
                             continue
@@ -459,7 +425,8 @@ def verify_replacement(
                         if cg.adj[r] & hugger_mask != hugger_mask:
                             continue
                         if not cg.edge(r, qa) and not cg.edge(r, qb):
-                            witnesses.append((qa, qb, huggers_a, huggers_b, r))
+                            pair = (tuple(sorted(w.huggers)) for w in (wa, wb))
+                            witnesses.append((qa, qb, *pair, r))
     if witnesses:
         return Verdict(
             status="fail",

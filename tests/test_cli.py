@@ -180,6 +180,25 @@ class TestSubcommands:
         )
         assert json.loads(proc.stdout)["status"] == "pass"
 
+    def test_verify_bases_allow_spaces(self, tmp_path):
+        # the base lists parse like --vertices: spaces around names are ignored
+        path = tmp_path / "delta.graph"
+        path.write_text(graph_to_text(families.delta()))
+        proc = run_cli(
+            [
+                "verify",
+                "--lemma",
+                "cond2-conclusion",
+                "--q-bases",
+                "u1, u2",
+                "--r-bases",
+                "a2",
+                str(path),
+            ]
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "cond2-conclusion: pass (12976 configurations)\n"
+
     def test_apply_aut(self, t2_file):
         proc = run_cli(["apply-aut", "--side", "a1,u", "--base", "a1", t2_file])
         assert proc.returncode == 0

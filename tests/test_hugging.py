@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
 
 from raagspine import (
+    HugOracle,
+    HugWitness,
+    compatibility_graph,
     cube_survives,
     families,
     hug_candidates,
@@ -10,10 +15,17 @@ from raagspine import (
     verify_oversize_hugged,
     verify_replacement,
 )
-from raagspine.graph import mask_iter
-from raagspine.hugging import HugError
+from raagspine.graph import mask_iter, sv_neg, sv_pos
+from raagspine.hugging import HugError, hug_configs, hug_context
+from raagspine.search import clique_masks
 
-from conftest import doubled_names, find_partition, node_id, signed_set
+from conftest import (
+    doubled_names,
+    find_partition,
+    node_id,
+    signed_set,
+    small_fixture_graphs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +315,170 @@ class TestLemmaConclusions:
             assert witness is not None
             kinds[g.names[witness.base_m]] = witness.kind
         assert kinds == {"a1": "one-hug", "a2": "two-hug", "v1": "one-hug"}
+
+
+def side_scan_is_hugged_in(cg, members, q_id, *, strict_principal=False):
+    """Reference oracle: hug detection by scanning the members' sides.
+
+    For each legal base u of q and dominator m of u, every member based at m
+    contributes its sides {m} ∪ C1 and {m^-1} ∪ C2 that lie inside the
+    hugged side; a one-hug by the {m} side wins, then one by the {m^-1}
+    side, then the two-hug with the least {m}-side mask.  Independent of the
+    tabulated configurations that ``is_hugged_in`` looks up.
+    """
+    member_ids = sorted(set(members))
+    if q_id not in member_ids:
+        raise HugError("the partition is not a member of the set")
+    if cg.principal[q_id]:
+        raise HugError("only non-principal partitions can be hugged")
+    g = cg.graph
+    q = cg.nodes[q_id]
+    cls = g.classify_vertices()
+    for u in sorted(q.max_bases):
+        doms = cls.dominators[u] & cls.principal if strict_principal else cls.dominators[u]
+        for m in sorted(doms):
+            side_q, units = hug_context(g, q, u, m)
+            target = 0
+            for mu in units:
+                target |= mu
+            pos_bit = 1 << sv_pos(m)
+            neg_bit = 1 << sv_neg(m)
+            plus, minus = {}, {}
+            for j in member_ids:
+                if j == q_id or m not in cg.bases[j]:
+                    continue
+                for side in cg.nodes[j].sides():
+                    if side & pos_bit and not (side & ~pos_bit) & ~target:
+                        plus.setdefault(side & ~pos_bit, j)
+                    if side & neg_bit and not (side & ~neg_bit) & ~target:
+                        minus.setdefault(side & ~neg_bit, j)
+
+            def witness(kind, c1, c2, huggers):
+                return HugWitness(
+                    kind=kind,
+                    base_m=m,
+                    base_u=u,
+                    hugged_side=side_q,
+                    comp_split=(
+                        tuple(mu for mu in units if mu & c1),
+                        tuple(mu for mu in units if mu & c2),
+                    ),
+                    huggers=huggers,
+                )
+
+            if target in plus:
+                return witness("one-hug", target, 0, (plus[target],))
+            if target in minus:
+                return witness("one-hug", 0, target, (minus[target],))
+            for s1 in sorted(plus):
+                s2 = target & ~s1
+                if s2 in minus:
+                    return witness("two-hug", s1, s2, (plus[s1], minus[s2]))
+    return None
+
+
+def cliques_through(cg, q_id, extra, cap):
+    """Up to ``cap`` compatible sets holding q_id and at most ``extra`` more."""
+    out = []
+
+    def grow(members, candidates, room):
+        if len(out) == cap:
+            return
+        out.append(members)
+        if room:
+            for j in mask_iter(candidates):
+                grow(members + (j,), candidates & cg.adj[j] & -(2 << j), room - 1)
+
+    grow((q_id,), cg.adj[q_id], extra)
+    return out
+
+
+class TestSideScanReference:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
+    def test_witnesses_match_side_scan(self, cg_cache, name, strict):
+        g = families.delta() if name == "delta" else small_fixture_graphs()[name]
+        cg = cg_cache(g)
+        for q_id in range(cg.n):
+            if cg.principal[q_id]:
+                continue
+            for members in cliques_through(cg, q_id, 3, 500):
+                assert is_hugged_in(
+                    cg, members, q_id, strict_principal=strict
+                ) == side_scan_is_hugged_in(cg, members, q_id, strict_principal=strict)
+
+    @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
+    def test_preference_matches_side_scan(self, cg_cache, name):
+        # on a compatible set at most one configuration per (u, m) fits, so
+        # the preference shows only on incompatible sets: q with the huggers
+        # of any two of its configurations
+        g = families.delta() if name == "delta" else small_fixture_graphs()[name]
+        cg = cg_cache(g)
+        for q_id in range(cg.n):
+            if cg.principal[q_id]:
+                continue
+            configs = hug_configs(cg, q_id)
+            for a, b in itertools.combinations_with_replacement(configs, 2):
+                members = {q_id, *a.huggers, *b.huggers}
+                assert is_hugged_in(cg, members, q_id) == side_scan_is_hugged_in(
+                    cg, members, q_id
+                )
+
+    def test_oracle_matches_side_scan_on_rake2(self, cg_cache):
+        cg = cg_cache(families.rake(2))
+        oracle = HugOracle(cg)
+        sets = list(clique_masks(cg.adj, (1 << cg.n) - 1))
+        assert len(sets) == 3825
+        np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
+        for mask in sets:
+            ids = list(mask_iter(mask))
+            hugged = sum(
+                1 << q
+                for q in ids
+                if not cg.principal[q] and side_scan_is_hugged_in(cg, ids, q)
+            )
+            assert oracle.hugged_mask(mask) == hugged
+            extendable = any(
+                not mask >> j & 1
+                and cg.adj[j] & mask == mask
+                and side_scan_is_hugged_in(cg, [*ids, j], j)
+                for j in np_nodes
+            )
+            assert oracle.extendable_by_hugged(mask) == extendable
+
+
+class TestPinnedVerdicts:
+    """Status and count of the two configuration verifiers, pinned."""
+
+    @pytest.mark.parametrize(
+        "graph, hug_compat, replacement",
+        [
+            (families.rake(2), ("pass", 8), ("pass", 0)),
+            (families.rake(3), ("pass", 300), ("pass", 8580)),
+            (families.delta(), ("pass", 520), ("pass", 328976)),
+            (
+                families.condition1_counterexample(),
+                ("fail", 24420),
+                ("fail", 1755388),
+            ),
+        ],
+        ids=["rake2", "rake3", "delta", "condition1-counterexample"],
+    )
+    def test_counts(self, cg_cache, graph, hug_compat, replacement):
+        # the counterexample has 4 non-principal partitions with more than
+        # one legal base, so its counts include the repeat per legal base
+        cg = cg_cache(graph)
+        verdict = verify_hug_compat(cg, budget=10**6)
+        assert (verdict.status, verdict.checked) == hug_compat
+        verdict = verify_replacement(cg, budget=10**7)
+        assert (verdict.status, verdict.checked) == replacement
+
+    def test_configurations_built_only_for_nodes_read(self):
+        # the budget runs out inside the second non-principal node of the
+        # 5-rake; the other 28 get no configurations built
+        cg = compatibility_graph(families.rake(5))
+        np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
+        assert len(np_nodes) == 30
+        verdict = verify_hug_compat(cg, budget=2000)
+        assert (verdict.status, verdict.checked) == ("inconclusive", 2000)
+        assert set(cg._hug_configs) == {(q, False) for q in np_nodes[:2]}
