@@ -72,7 +72,7 @@ def _vertex_set(g: SimplicialGraph, args) -> frozenset[int]:
         return frozenset(range(g.n))
     if args.principal:
         return g.classify_vertices().principal
-    if args.vertices:
+    if args.vertices is not None:
         return _vertex_names(g, args.vertices)
     return frozenset(range(g.n))
 
@@ -184,8 +184,8 @@ def cmd_verify(args) -> int:
         verdict = verify_replacement(
             cg,
             budget=args.budget,
-            q_bases=_vertex_names(g, args.q_bases) if args.q_bases else None,
-            r_bases=_vertex_names(g, args.r_bases) if args.r_bases else None,
+            q_bases=_vertex_names(g, args.q_bases) if args.q_bases is not None else None,
+            r_bases=_vertex_names(g, args.r_bases) if args.r_bases is not None else None,
         )
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.lemma)

@@ -198,10 +198,12 @@ class HugOracle:
         self.strict_principal = strict_principal
         self._hugged: dict[int, int] = {}
         self._extendable: dict[int, bool] = {}
-        self._np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
+        self._np_mask = sum(1 << i for i in range(cg.n) if not cg.principal[i])
 
     def hugged_mask(self, members_mask: int) -> int:
         """Mask of non-principal members hugged in the member set."""
+        if not members_mask & self._np_mask:
+            return 0  # only non-principal members can be hugged
         cached = self._hugged.get(members_mask)
         if cached is not None:
             return cached
@@ -224,9 +226,7 @@ class HugOracle:
         if cached is not None:
             return cached
         out = False
-        for j in self._np_nodes:
-            if members_mask >> j & 1:
-                continue
+        for j in mask_iter(self._np_mask & ~members_mask):
             if self.cg.adj[j] & members_mask != members_mask:
                 continue
             bigger = members_mask | 1 << j

@@ -188,12 +188,15 @@ def retract(
     face that drops them, but only after the free-face condition is verified
     against the current complex; a cube whose designated face has cofaces
     outside it is left alone and retried on the next sweep, and sweeps repeat
-    until no event fires.  Blocked cubes that remain blocked at the fixpoint
-    are reported in the trace, beside the set of removed cubes, which is the
-    only record of the complex: the final f-vector is the star's closed form
-    minus theirs.  (There are graphs, the 2-rake among them, where a
-    designated face is a face of a cube that genuinely survives, so a fully
-    literal single sweep cannot complete; see the README.)
+    until no event fires.  A blocked audit stops at the first blocking
+    coface; only a free face's cofaces are listed in full, and compared with
+    the 2^|H| cubes the collapse must remove.  Blocked cubes that remain
+    blocked at the fixpoint are reported in the trace, beside the set of
+    removed cubes, which is the only record of the complex: the final
+    f-vector is the star's closed form minus theirs.  (There are graphs, the
+    2-rake among them, where a designated face is a face of a cube that
+    genuinely survives, so a fully literal single sweep cannot complete; see
+    the README.)
 
     ``strict_schedule`` raises a StructuralAssertionError at the first
     blocked event instead, reproducing the single-sweep schedule literally.
@@ -241,14 +244,13 @@ def retract(
     supersets = cache(star.supersets)  # few distinct faces, many lookups
     events: list[CollapseEvent] = []
 
-    def cofaces(lower: int, upper: int) -> list[tuple[int, int]]:
-        """Present cubes having (lower, upper) as a face."""
-        return [
-            (a, b)
-            for b in supersets(upper)
-            for a in _submasks(lower)
-            if (a, b) not in removed
-        ]
+    def cofaces(lower: int, upper: int):
+        """Present cubes having (lower, upper) as a face, the face first."""
+        subs = tuple(_submasks(lower))
+        for b in supersets(upper):
+            for a in subs:
+                if (a, b) not in removed:
+                    yield a, b
 
     def attempt(lower: int, upper: int) -> bool:
         """Try one collapse event; True when the cube was collapsed."""
@@ -256,21 +258,23 @@ def retract(
             return False
         hugged = oracle.hugged_mask(upper) & (upper & ~lower)
         face_upper = upper & ~hugged
-        containing = cofaces(lower, face_upper)
-        if (lower, face_upper) not in containing:
+        if (lower, face_upper) in removed:
             raise StructuralAssertionError(
                 "free face is absent although its cofaces are present",
                 (lower, upper),
                 (lower, face_upper),
             )
-        if not all(a == lower and not b & ~upper for a, b in containing):
-            if strict_schedule:
-                raise StructuralAssertionError(
-                    "free-face condition failed during the ordered collapse",
-                    (lower, upper),
-                    (lower, face_upper),
-                )
-            return False
+        containing = []
+        for a, b in cofaces(lower, face_upper):
+            if a != lower or b & ~upper:
+                if strict_schedule:
+                    raise StructuralAssertionError(
+                        "free-face condition failed during the ordered collapse",
+                        (lower, upper),
+                        (lower, face_upper),
+                    )
+                return False
+            containing.append((a, b))
         expected = {(lower, face_upper | sub) for sub in _submasks(hugged)}
         if set(containing) != expected:
             raise StructuralAssertionError(
@@ -295,7 +299,8 @@ def retract(
 
         The cube pairs with the face extending its lower set by the least
         non-hugged member; the pair must form a genuine elementary collapse
-        (the face's only present cofaces are itself and the cube).
+        (the face's only present cofaces are itself and the cube, both
+        present here, so the walk stops at the first other one).
         """
         if (lower, upper) in removed:
             return False
@@ -307,7 +312,7 @@ def retract(
         face = (lower | y, upper)
         if face in removed:
             return False
-        if set(cofaces(*face)) != {(lower, upper), face}:
+        if any(c != face and c != (lower, upper) for c in cofaces(*face)):
             return False
         removed.update(((lower, upper), face))
         events.append(
@@ -352,16 +357,21 @@ def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "Crossche
 
     A cube (lower, upper) should survive iff upper \\ lower contains no
     hugged non-principal member and no addable non-principal partition would
-    be hugged in the enlarged set.  Computed with a fresh oracle over every
-    original cube.
+    be hugged in the enlarged set.  Computed with a fresh oracle.  An upper
+    set with no hugged member, not extendable and with no removed cube is
+    passed over: each of its cubes is present and survives, so it cannot
+    mismatch; the lower sets of every other upper set are visited.
     """
     cg = star.cg
     oracle = HugOracle(cg, strict_principal=trace.strict_principal)
+    removed_uppers = {upper for _, upper in trace.removed}
     mismatched_kept: list[tuple[int, int]] = []
     mismatched_lost: list[tuple[int, int]] = []
     for upper in star.cliques:
         hug = oracle.hugged_mask(upper)
         extendable = oracle.extendable_by_hugged(upper)
+        if not hug and not extendable and upper not in removed_uppers:
+            continue
         for lower in _submasks(upper):
             survives = not hug & ~lower and not extendable
             present = (lower, upper) not in trace.removed

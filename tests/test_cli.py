@@ -141,6 +141,16 @@ class TestSubcommands:
             proc = run_cli(["max-set", *flags, "--json", t2_file])
             assert json.loads(proc.stdout)["size"] == expected
 
+    def test_retract_json_pinned(self, t2_file):
+        # the whole stdout of `retract --json`: trace, crosscheck verdict
+        import hashlib
+
+        proc = run_cli(["retract", "--json", t2_file])
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "4bc04f10b3edf096afdb19389409db5b199e800a5f5a9ac602ba02eec08628fb"
+        )
+
     def test_conditions(self, t2_file):
         proc = run_cli(["conditions", "--json", t2_file])
         payload = json.loads(proc.stdout)
@@ -247,6 +257,21 @@ class TestRefusals:
         self.assert_refused(proc)
         assert "--warn-and-proceed" in proc.stderr
         assert run_cli(["retract", "--warn-and-proceed", str(path)]).returncode == 0
+
+    def test_max_set_empty_vertex_list(self, t2_file):
+        proc = run_cli(["max-set", "--vertices", "", "--json", t2_file])
+        self.assert_refused(proc)
+        assert proc.stdout == ""
+
+    def test_verify_empty_q_bases(self, t2_file):
+        proc = run_cli(["verify", "--lemma", "cond2-conclusion", "--q-bases", "", t2_file])
+        self.assert_refused(proc)
+        assert proc.stdout == ""
+
+    def test_verify_empty_r_bases(self, t2_file):
+        proc = run_cli(["verify", "--lemma", "cond2-conclusion", "--r-bases", "", t2_file])
+        self.assert_refused(proc)
+        assert proc.stdout == ""
 
     def test_gen_out_of_range_parameter(self):
         proc = run_cli(["gen", "--family", "path", "--n", "-2"])

@@ -22,6 +22,28 @@ def final_cubes(star, trace):
     return frozenset(star.cubes()) - trace.removed
 
 
+def reference_crosscheck(star, trace):
+    """The crosscheck visiting every cube of the star, as (ok, kept, lost)."""
+    oracle = HugOracle(star.cg, strict_principal=trace.strict_principal)
+    kept, lost = [], []
+    for upper in star.cliques:
+        hug = oracle.hugged_mask(upper)
+        extendable = oracle.extendable_by_hugged(upper)
+        for lower in _submasks(upper):
+            survives = not hug & ~lower and not extendable
+            present = (lower, upper) not in trace.removed
+            if present and not survives:
+                kept.append((lower, upper))
+            elif survives and not present:
+                lost.append((lower, upper))
+    return (not kept and not lost, tuple(kept[:20]), tuple(lost[:20]))
+
+
+def crosscheck_answer(star, trace):
+    check = crosscheck_survivors(star, trace)
+    return (check.ok, check.kept_but_redundant, check.surviving_but_removed)
+
+
 def predicate_set(star):
     oracle = HugOracle(star.cg)
     out = set()
@@ -232,8 +254,34 @@ class TestRetract:
         # the single literal sweep stalls at c(0, {4,7,14,15,16}): the face
         # dropping the hugged member has a coface in a genuinely surviving
         # all-principal inextendible 5-set
-        with pytest.raises(StructuralAssertionError):
+        with pytest.raises(StructuralAssertionError) as raised:
             retract(rake2_star, strict_schedule=True)
+        exc = raised.value
+        assert str(exc) == "free-face condition failed during the ordered collapse"
+        assert exc.cube == (0, 114832)
+        assert exc.face == (0, 114704)
+        assert ids(exc.cube[1]) == (4, 7, 14, 15, 16)
+
+    def test_only_free_faces_list_their_cofaces(self, rake2_star, monkeypatch):
+        # counts work, not time: a blocked audit stops at its first blocking
+        # coface, so the superset lists of a face are walked to the end only
+        # when the face is free; on the 2-rake that is once per event
+        from raagspine.retraction import StarComplex
+
+        complete = []
+
+        class Walked(tuple):
+            def __iter__(self):
+                yield from tuple.__iter__(self)
+                complete.append(1)
+
+        walk = StarComplex.supersets
+        monkeypatch.setattr(
+            StarComplex, "supersets", lambda self, clique: Walked(walk(self, clique))
+        )
+        trace = retract(rake2_star)
+        assert len(trace.events) == 14600
+        assert len(complete) == 14600
 
     @pytest.mark.slow
     def test_non_spiky_requires_warn_and_proceed(self, cg_cache):
@@ -303,6 +351,55 @@ class TestCrosscheck:
         pred = predicate_set(star)
         assert final_cubes(star, trace) == frozenset(closure(pred))
         assert pred < final_cubes(star, trace)
+
+    def test_matches_the_per_cube_reference(self, cg_cache):
+        from conftest import small_fixture_graphs
+
+        checked = 0
+        for g in small_fixture_graphs().values():
+            try:
+                star = build_star(cg_cache(g))
+            except CapExceededError:
+                continue
+            for strict_principal in (False, True):
+                trace = retract(
+                    star, warn_and_proceed=True, strict_principal=strict_principal
+                )
+                assert crosscheck_answer(star, trace) == reference_crosscheck(star, trace)
+            checked += 1
+        assert checked == 11
+
+    def test_removed_cube_of_an_unhugged_upper_is_reported(self, cg_cache):
+        # edgeless(3) hugs nothing, so only its removed cube keeps the upper
+        # set from being passed over
+        from dataclasses import replace
+
+        star = build_star(cg_cache(families.edgeless(3)))
+        upper = max(star.cliques, key=int.bit_count)
+        cube = (upper & -upper, upper)
+        trace = replace(retract(star), removed=frozenset([cube]))
+        assert HugOracle(star.cg).hugged_mask(upper) == 0
+        answer = crosscheck_answer(star, trace)
+        assert answer == reference_crosscheck(star, trace) == (False, (), (cube,))
+
+    def test_audit_only_star_visits_no_cube(self, cg_cache, monkeypatch):
+        # counts work, not time: edgeless(4) hugs nothing and removes
+        # nothing, so neither the retraction nor the crosscheck enumerates
+        # the cubes of any compatible set
+        from raagspine import retraction
+
+        visited = []
+        submasks = retraction._submasks
+
+        def counted(mask):
+            for sub in submasks(mask):
+                visited.append(sub)
+                yield sub
+
+        monkeypatch.setattr(retraction, "_submasks", counted)
+        star = build_star(cg_cache(families.edgeless(4)))
+        assert crosscheck_survivors(star, retract(star)).ok
+        assert visited == []
 
     def test_rake2_characterization_not_face_closed(self, rake2_star):
         pred = predicate_set(rake2_star)
