@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import SimplicialGraph, mask_iter
-from .partitions import Partition, all_partitions
+from .partitions import Partition, all_partitions, inversion_class
 
 
 def is_adjacent(g: SimplicialGraph, p: Partition, q: Partition) -> bool:
@@ -76,6 +76,11 @@ class CompatibilityGraph:
     def node_of(self) -> dict[Partition, int]:
         """The node id of each partition."""
         return {p: i for i, p in enumerate(self.nodes)}
+
+    @cached_property
+    def inversion_classes(self) -> tuple[tuple[int, int, int], ...]:
+        """Each node's class under inverting generators (``inversion_class``)."""
+        return tuple(inversion_class(p) for p in self.nodes)
 
     def edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)

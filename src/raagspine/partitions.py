@@ -105,6 +105,24 @@ class Partition:
         }
 
 
+def inversion_class(p: Partition) -> tuple[int, int, int]:
+    """The class of p under inverting generators (v -> v^-1, any subset of v).
+
+    Inverting v swaps its two letters.  That fixes the link and every
+    non-split v (its letters share a side), and moves each letter of a split
+    v to the other side.  So the class of p is every orientation of its split
+    letters: it is given by the split letters and the unordered pair of the
+    two sides' non-split parts.
+    """
+    # the sides and the link hold all 2n letters; a third of that mask is
+    # 0b0101...01, the positive letters
+    positive = (p.side_a | p.side_b | p.link) // 3
+    one = (p.side_a ^ p.side_a >> 1) & positive
+    split = one | one << 1
+    a, b = p.side_a & ~split, p.side_b & ~split
+    return (split, min(a, b), max(a, b))
+
+
 def _compute_split(g: SimplicialGraph, side1: int, side2: int) -> frozenset[int]:
     return frozenset(
         v

@@ -188,12 +188,13 @@ def retract(
     face that drops them, but only after the free-face condition is verified
     against the current complex; a cube whose designated face has cofaces
     outside it is left alone and retried on the next sweep, and sweeps repeat
-    until no event fires.  A blocked audit stops at the first blocking
-    coface; only a free face's cofaces are listed in full, and compared with
-    the 2^|H| cubes the collapse must remove.  Blocked cubes that remain
-    blocked at the fixpoint are reported in the trace, beside the set of
-    removed cubes, which is the only record of the complex: the final
-    f-vector is the star's closed form minus theirs.  (There are graphs, the
+    until no event fires; after each sweep the removed cubes leave the order,
+    so the next sweep visits only the cubes still present.  A blocked audit
+    stops at the first blocking coface; only a free face's cofaces are listed
+    in full, and compared with the 2^|H| cubes the collapse must remove.
+    Blocked cubes that remain blocked at the fixpoint are reported in the
+    trace, beside the set of removed cubes, which is the only record of the
+    complex: the final f-vector is the star's closed form minus theirs.  (There are graphs, the
     2-rake among them, where a designated face is a face of a cube that
     genuinely survives, so a fully literal single sweep cannot complete; see
     the README.)
@@ -336,6 +337,7 @@ def retract(
             for lower, upper in order:
                 if step(lower, upper):
                     progressed = True
+            order = [cube for cube in order if cube not in removed]
 
     initial_stats = star.stats()
     gone = Counter((upper & ~lower).bit_count() for lower, upper in removed)
@@ -344,7 +346,7 @@ def retract(
         f_vector.pop()
     return RetractionTrace(
         events=tuple(events),
-        skipped=tuple(sorted((c for c in order if c not in removed), key=lex)),
+        skipped=tuple(sorted(order, key=lex)),
         initial_stats=initial_stats,
         final_stats=_stats_of(tuple(f_vector)),
         removed=frozenset(removed),

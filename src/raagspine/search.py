@@ -20,6 +20,17 @@ solves the parts of its candidates one after another, each against a floor
 set by the incumbent, the sizes already found and the colour bounds of the
 parts still to come.
 
+Inverting any set of generators (v -> v^-1) is an automorphism of A_Γ: it
+maps each partition to a partition (``partitions.inversion_class`` names its
+class) and keeps compatibility, bases and principality.  So it fixes every
+based node set, and it maps a co-component onto itself as soon as it maps one
+of its nodes into it.  The root of each part's size search therefore
+branches on one node per inversion class: once a node is explored, a largest
+clique through any node of its class is the image of one already covered,
+and the whole class leaves the candidates (orbital branching at the root;
+Ostrowski, Linderoth, Rossi & Smriglio, 2011).  Deeper nodes and the witness
+pass search without it.
+
 ``clique_masks`` is the one clique enumerator: the star complex, its coface
 lookups and the oversize verifier all walk it.
 """
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .compat import CompatibilityGraph
 from .graph import mask_iter
@@ -97,12 +108,28 @@ class _CliqueSolver:
         # renumbered bits in ascending node id
         self.by_id = sorted(range(len(order)), key=order.__getitem__)
 
-    def expand(self, cand: int, best: int = 0, target: int | None = None) -> int:
+    def expand(
+        self,
+        cand: int,
+        best: int = 0,
+        target: int | None = None,
+        symmetry: Sequence[Hashable] | None = None,
+    ) -> int:
         """Largest clique size in cand if above the incumbent best, else best.
 
-        Stops as soon as a clique of the target size is found."""
+        Stops as soon as a clique of the target size is found.  ``symmetry``
+        gives each node id a class; two nodes of cand may share one only if
+        an automorphism mapping cand onto itself takes one to the other.
+        Once the root has branched on a node, the rest of its class leaves
+        the candidates."""
         adj, colour_classes = self.adj, self.colour_classes
         limit = cand.bit_count() if target is None else target
+        orbit = None
+        if symmetry is not None:
+            same: dict[Hashable, int] = {}
+            for i, v in enumerate(self.order):
+                same[symmetry[v]] = same.get(symmetry[v], 0) | 1 << i
+            orbit = [same[symmetry[v]] for v in self.order]
 
         def grow(size: int, cand: int) -> bool:
             nonlocal best
@@ -132,15 +159,18 @@ class _CliqueSolver:
                 best = found
                 return best >= limit
             for colour in range(len(classes), best - size, -1):
-                members = classes[colour - 1]
+                members = classes[colour - 1] & cand
                 while members:
                     if size + colour <= best:
                         return False
                     v = members.bit_length() - 1
                     if grow(size + 1, cand & adj[v]):
                         return True
-                    cand ^= 1 << v
-                    members ^= 1 << v
+                    # every clique through v is covered, and at the root so
+                    # is every clique through an image of v
+                    done = orbit[v] if orbit and not size else 1 << v
+                    cand &= ~done
+                    members &= ~done
             return False
 
         grow(0, cand)
@@ -193,7 +223,7 @@ def max_compatible(cg: CompatibilityGraph, vertices: Iterable[int]) -> MaxSetRes
     witness: frozenset[int] = frozenset()
     for part in _co_components(cg.adj, mask):
         solver = _CliqueSolver(cg.adj, part)
-        part_size = solver.expand(solver.full)
+        part_size = solver.expand(solver.full, symmetry=cg.inversion_classes)
         size += part_size
         witness |= solver.lex_least_clique(part_size)
     return MaxSetResult(size=size, witness=witness, restricted_to=wanted)

@@ -241,3 +241,65 @@ class TestWhiteheadImages:
         p = find_partition(t2, all_partitions(t2), ["a1", "u"])
         with pytest.raises(PartitionError):
             whitehead_images(t2, p, signed(t2, "v"))
+
+
+def invert_letters(mask, v):
+    """The signed mask with the two letters of vertex v swapped."""
+    pair = mask >> 2 * v & 3
+    return mask & ~(3 << 2 * v) | (pair >> 1 | (pair & 1) << 1) << 2 * v
+
+
+class TestInversionClasses:
+    """Inverting one generator is an automorphism of the compatibility graph.
+
+    The root skip of the clique search rests on this: each of the n
+    inversions maps every node to a node and keeps ``adj``, ``bases`` and
+    ``principal``, and ``inversion_class`` names exactly the orbits of the
+    group they generate.
+    """
+
+    GRAPHS = {
+        **small_fixture_graphs(),
+        "edgeless5": families.edgeless(5),
+        "delta": families.delta(),
+        "condition2-counterexample": families.condition2_counterexample(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_inversions_are_automorphisms_and_classes_are_orbits(self, name, cg_cache):
+        cg = cg_cache(self.GRAPHS[name])
+        g = cg.graph
+        by_sides = {p.sides(): i for i, p in enumerate(cg.nodes)}
+        parent = list(range(cg.n))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for v in range(g.n):
+            image = []
+            for p in cg.nodes:
+                a = invert_letters(p.side_a, v)
+                b = invert_letters(p.side_b, v)
+                image.append(by_sides[(a, b) if a & -a < b & -b else (b, a)])
+            assert sorted(image) == list(range(cg.n))
+            for i, j in enumerate(image):
+                assert cg.bases[j] == cg.bases[i]
+                assert cg.principal[j] == cg.principal[i]
+                assert cg.nodes[j].link == cg.nodes[i].link
+                row = 0
+                for k in mask_iter(cg.adj[i]):
+                    row |= 1 << image[k]
+                assert cg.adj[j] == row
+                parent[root(i)] = root(j)
+        orbits = {}
+        classes = {}
+        for i, key in enumerate(cg.inversion_classes):
+            orbits.setdefault(root(i), set()).add(i)
+            classes.setdefault(key, set()).add(i)
+        assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, classes.values()))
+        counts = {"edgeless5": (486, 101), "delta": (140, 40), "condition2-counterexample": (580, 135)}
+        if name in counts:
+            assert (cg.n, len(classes)) == counts[name]

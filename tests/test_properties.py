@@ -7,11 +7,17 @@ counterexample).
 """
 
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
 from raagspine import (
+    SimplicialGraph,
     all_partitions,
+    analyze,
+    compatibility_graph,
     is_adjacent,
     is_compatible,
     is_hugged_in,
@@ -149,3 +155,44 @@ def test_hug_witness_soundness(fixture_graph, cg_cache):
             for mask in (p1, p2):
                 if mask.bit_count() >= 2:
                     assert frozenset(mask_iter(mask)) in stored_sides
+
+
+# every 15th graph of the benchmark's census pool, with its pinned answers
+CENSUS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "census_answers.json").read_text()
+)[::15]
+
+
+def analysis_invariants(g):
+    """Partition count, M(L), M(V) and every condition verdict of g."""
+    report = analyze(g, compatibility_graph(g))
+    c = report.conditions
+    return {
+        "partitions": report.partition_count, "m_l": report.m_l.size, "m_v": report.m_v.size,
+        "condition1": c.condition1, "condition2": c.condition2, "spiky": c.spiky,
+        "barbed": c.barbed, "p_k": c.p_k, "vcd": report.vcd_mode,
+    }
+
+
+def redeclared(g, seed):
+    """g with its vertices declared in a seed-drawn order."""
+    names = list(g.names)
+    random.Random(seed).shuffle(names)
+    return SimplicialGraph(names, [(g.names[a], g.names[b]) for a, b in sorted(g.edges)])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relabelling_keeps_the_analysis(fixture_graph, seed):
+    # vertex ids follow declaration order, and so do the node ids, the
+    # signed-letter masks and the inversion classes the clique search skips by
+    g = fixture_graph
+    assert analysis_invariants(redeclared(g, seed)) == analysis_invariants(g)
+
+
+@pytest.mark.parametrize("entry", CENSUS, ids=[f"census{15 * i}" for i in range(len(CENSUS))])
+def test_relabelling_keeps_the_census_answers(entry):
+    n = entry["n"]
+    g = SimplicialGraph([f"x{v}" for v in range(n)], [(f"x{a}", f"x{b}") for a, b in entry["edges"]])
+    assert analysis_invariants(g) == entry["answer"]
+    for seed in (1, 2):
+        assert analysis_invariants(redeclared(g, seed)) == entry["answer"]

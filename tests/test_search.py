@@ -255,6 +255,24 @@ class TestJoinSplit:
         assert built == [74, 60]
 
 
+class TestRootSymmetry:
+    def test_inversion_skip_bounds_the_colourings(self, cg_cache, monkeypatch):
+        # counts work, not time: without skipping inversion images at the
+        # root, edgeless(5) M(V) takes 26,201 colourings
+        calls = []
+        colour = _CliqueSolver.colour_classes
+
+        def counted(self, cand):
+            calls.append(cand)
+            return colour(self, cand)
+
+        monkeypatch.setattr(_CliqueSolver, "colour_classes", counted)
+        g = families.edgeless(5)
+        result = max_compatible(cg_cache(g), frozenset(range(g.n)))
+        assert result.size == 7
+        assert len(calls) <= 10_000
+
+
 def brute_force_cliques(adj, cand, max_size):
     """Every clique of at most max_size nodes inside cand, as sorted id tuples."""
     nodes = list(mask_iter(cand))
