@@ -329,6 +329,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        for flag in ("cap", "budget"):
+            if getattr(args, flag, 0) < 0:
+                raise GraphError(f"--{flag} must not be negative")
         return args.func(args)
     except (GraphError, HugError) as exc:
         print(f"error: {exc}", file=sys.stderr)

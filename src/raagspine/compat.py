@@ -78,6 +78,11 @@ class CompatibilityGraph:
         return {p: i for i, p in enumerate(self.nodes)}
 
     @cached_property
+    def principal_mask(self) -> int:
+        """The principal nodes as a bitmask over node ids."""
+        return sum(1 << i for i in range(self.n) if self.principal[i])
+
+    @cached_property
     def inversion_classes(self) -> tuple[tuple[int, int, int], ...]:
         """Each node's class under inverting generators (``inversion_class``)."""
         return tuple(inversion_class(p) for p in self.nodes)

@@ -16,8 +16,9 @@ the hugging partitions can be found among its members.
 
 ``hug_configs`` is the one construction of this relation: it tabulates, once
 per node, every configuration of huggers in the compatibility graph.
-``is_hugged_in`` (and through it the retraction's ``HugOracle``) looks a
-member set up in that table, and the brute-force verifiers iterate it.
+``is_hugged_in`` (and through it the retraction's ``HugOracle``) is the one
+lookup: the first configuration whose hugger mask lies in a compatible
+member set.  The brute-force verifiers iterate the table.
 
 By default the dominator m may itself be non-principal; ``strict_principal``
 restricts detection to principal m.
@@ -26,7 +27,7 @@ restricts detection to principal m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .compat import CompatibilityGraph
@@ -47,6 +48,11 @@ class HugWitness:
     hugged_side: int  # mask of the side Q of q
     comp_split: tuple[tuple[int, ...], tuple[int, ...]]  # unit masks (C1, C2)
     huggers: tuple[int, ...]  # node ids in the ambient compatibility graph
+
+    @cached_property
+    def hugger_mask(self) -> int:
+        """The huggers as a bitmask over node ids."""
+        return sum(1 << j for j in self.huggers)
 
     def hugger_sides(self) -> tuple[int, int]:
         """Reconstruct (P1, P2) side masks from (m, C1, C2)."""
@@ -158,13 +164,6 @@ def _build_configs(cg: CompatibilityGraph, q_id: int, strict_principal: bool):
                 )
 
 
-def _preference(w: HugWitness) -> tuple:
-    """One-hug by the {m} side, then by the {m^-1} side, then the two-hug
-    with the least {m}-side unit mask."""
-    c1, c2 = w.comp_split
-    return (bool(c2), bool(c1), sum(c1))
-
-
 def is_hugged_in(
     cg: CompatibilityGraph,
     members: Iterable[int],
@@ -174,72 +173,78 @@ def is_hugged_in(
 ) -> Optional[HugWitness]:
     """A hug witness for member q_id inside the compatible set, or None.
 
-    The first (u, m) group of ``hug_configs`` with a configuration whose
-    huggers are all members decides; within it ``_preference`` picks.
+    The first configuration of ``hug_configs`` whose huggers are all
+    members.  Members that are not pairwise compatible raise HugError; on a
+    compatible set at most one configuration of each (u, m) group fits.
     """
-    mask = cg.members_mask(members)
+    mask, common = 0, -1  # the members, and what every member is compatible with
+    for i in members:
+        mask |= 1 << i
+        common &= cg.adj[i] | 1 << i
     if not mask >> q_id & 1:
         raise HugError("the partition is not a member of the set")
     if cg.principal[q_id]:
         raise HugError("only non-principal partitions can be hugged")
-    configs = hug_configs(cg, q_id, strict_principal=strict_principal)
-    for _, group in groupby(configs, key=lambda w: (w.base_u, w.base_m)):
-        found = [w for w in group if all(mask >> j & 1 for j in w.huggers)]
-        if found:
-            return min(found, key=_preference)
+    if mask & ~common:
+        raise HugError("the member set is not pairwise compatible")
+    for w in hug_configs(cg, q_id, strict_principal=strict_principal):
+        if not w.hugger_mask & ~mask:
+            return w
     return None
 
 
 class HugOracle:
-    """Caches hugged-member masks and hugged-extension checks per member set."""
+    """Per compatible member set, caches the hugged members and whether a
+    hugged extension exists (through ``is_hugged_in``); the survivor rule."""
 
     def __init__(self, cg: CompatibilityGraph, *, strict_principal: bool = False):
         self.cg = cg
         self.strict_principal = strict_principal
         self._hugged: dict[int, int] = {}
         self._extendable: dict[int, bool] = {}
-        self._np_mask = sum(1 << i for i in range(cg.n) if not cg.principal[i])
+        self._np_mask = (1 << cg.n) - 1 & ~cg.principal_mask
 
     def hugged_mask(self, members_mask: int) -> int:
         """Mask of non-principal members hugged in the member set."""
-        if not members_mask & self._np_mask:
+        candidates = members_mask & self._np_mask
+        if not candidates:
             return 0  # only non-principal members can be hugged
         cached = self._hugged.get(members_mask)
         if cached is not None:
             return cached
         ids = list(mask_iter(members_mask))
-        out = 0
-        for q_id in ids:
-            if self.cg.principal[q_id]:
-                continue
-            if is_hugged_in(
-                self.cg, ids, q_id, strict_principal=self.strict_principal
-            ):
-                out |= 1 << q_id
+        out = sum(
+            1 << q_id
+            for q_id in mask_iter(candidates)
+            if is_hugged_in(self.cg, ids, q_id, strict_principal=self.strict_principal)
+        )
         self._hugged[members_mask] = out
         return out
 
     def extendable_by_hugged(self, members_mask: int) -> bool:
         """Whether some outside non-principal partition, compatible with every
         member, would be hugged once added."""
+        outside = self._np_mask & ~members_mask
+        if not outside:
+            return False  # only non-principal partitions can be hugged
         cached = self._extendable.get(members_mask)
         if cached is not None:
             return cached
-        out = False
-        for j in mask_iter(self._np_mask & ~members_mask):
-            if self.cg.adj[j] & members_mask != members_mask:
-                continue
-            bigger = members_mask | 1 << j
-            if is_hugged_in(
-                self.cg,
-                mask_iter(bigger),
-                j,
+        out = any(
+            is_hugged_in(
+                self.cg, mask_iter(members_mask | 1 << j), j,
                 strict_principal=self.strict_principal,
-            ):
-                out = True
-                break
+            )
+            for j in mask_iter(outside)
+            if self.cg.adj[j] & members_mask == members_mask
+        )
         self._extendable[members_mask] = out
         return out
+
+    def survives(self, lower: int, upper: int) -> bool:
+        """Whether the cube (lower, upper) survives: no member of upper \\ lower
+        is hugged in upper, and no hugged extension of upper exists."""
+        return not self.hugged_mask(upper) & ~lower and not self.extendable_by_hugged(upper)
 
 
 def cube_survives(
@@ -250,12 +255,8 @@ def cube_survives(
     strict_principal: bool = False,
     oracle: Optional[HugOracle] = None,
 ) -> bool:
-    """Survivor predicate for the cube (lower, upper).
-
-    True iff no non-principal partition of upper minus lower is hugged in
-    upper, and no addable outside non-principal partition would be hugged in
-    the enlarged set.
-    """
+    """Survivor predicate for the cube (lower, upper): ``HugOracle.survives``
+    after checking that lower ⊆ upper and that upper is compatible."""
     lower_mask = cg.members_mask(lower)
     upper_mask = cg.members_mask(upper)
     if lower_mask & ~upper_mask:
@@ -264,9 +265,7 @@ def cube_survives(
         raise HugError("upper set is not pairwise compatible")
     if oracle is None:
         oracle = HugOracle(cg, strict_principal=strict_principal)
-    if oracle.hugged_mask(upper_mask) & (upper_mask & ~lower_mask):
-        return False
-    return not oracle.extendable_by_hugged(upper_mask)
+    return oracle.survives(lower_mask, upper_mask)
 
 
 # -- finite verification of the key statements -------------------------
@@ -329,7 +328,7 @@ def verify_hug_compat(
     np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
     for q_id in np_nodes:
         for config in hug_configs(cg, q_id, strict_principal=strict_principal):
-            hugger_mask = cg.members_mask(config.huggers)
+            hugger_mask = config.hugger_mask
             for q2 in np_nodes:
                 if q2 == q_id:
                     continue
@@ -407,13 +406,12 @@ def verify_replacement(
                 continue
             for wa in hug_configs(cg, qa, strict_principal=strict_principal):
                 for wb in hug_configs(cg, qb, strict_principal=strict_principal):
-                    huggers = {*wa.huggers, *wb.huggers}
-                    group = huggers | {qa, qb}
-                    if not cg.is_clique(group):
+                    hugger_mask = wa.hugger_mask | wb.hugger_mask
+                    group = hugger_mask | 1 << qa | 1 << qb
+                    if not cg.is_clique(mask_iter(group)):
                         continue
-                    hugger_mask = cg.members_mask(huggers)
                     for r in principal_nodes:
-                        if r in group:
+                        if group >> r & 1:
                             continue
                         if checked >= budget:
                             return Verdict(

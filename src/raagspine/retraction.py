@@ -213,11 +213,6 @@ def retract(
             (0, 0),
             (0, 0),
         )
-    principal_mask = 0
-    for i in range(cg.n):
-        if cg.principal[i]:
-            principal_mask |= 1 << i
-
     rank = {c: i for i, c in enumerate(star.cliques)}  # lexicographic by ids
 
     def lex(cube: tuple[int, int]):
@@ -230,7 +225,7 @@ def retract(
         lower, upper = cube
         b = lower.bit_count()
         t = star.m_v - upper.bit_count()
-        p = star.m_l - (upper & principal_mask).bit_count()
+        p = star.m_l - (upper & cg.principal_mask).bit_count()
         assert t >= 0 and p >= 0
         return (b, t, p, tie_break(cube))
 
@@ -305,8 +300,8 @@ def retract(
         """
         if (lower, upper) in removed:
             return False
-        hugged = oracle.hugged_mask(upper) & (upper & ~lower)
-        rest = upper & ~oracle.hugged_mask(upper) & ~lower
+        hugged = oracle.hugged_mask(upper) & ~lower
+        rest = upper & ~lower & ~hugged
         if not rest:
             return False
         y = rest & -rest
@@ -357,12 +352,11 @@ def retract(
 def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "CrosscheckResult":
     """Compare the retained cubes against the survivor predicate.
 
-    A cube (lower, upper) should survive iff upper \\ lower contains no
-    hugged non-principal member and no addable non-principal partition would
-    be hugged in the enlarged set.  Computed with a fresh oracle.  An upper
-    set with no hugged member, not extendable and with no removed cube is
-    passed over: each of its cubes is present and survives, so it cannot
-    mismatch; the lower sets of every other upper set are visited.
+    A cube (lower, upper) should survive iff ``HugOracle.survives`` holds,
+    computed with a fresh oracle.  An upper set whose cube (∅, upper)
+    survives and that has no removed cube is passed over: each of its cubes
+    is present and survives, so it cannot mismatch; the lower sets of every
+    other upper set are visited.
     """
     cg = star.cg
     oracle = HugOracle(cg, strict_principal=trace.strict_principal)
@@ -370,12 +364,10 @@ def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "Crossche
     mismatched_kept: list[tuple[int, int]] = []
     mismatched_lost: list[tuple[int, int]] = []
     for upper in star.cliques:
-        hug = oracle.hugged_mask(upper)
-        extendable = oracle.extendable_by_hugged(upper)
-        if not hug and not extendable and upper not in removed_uppers:
+        if oracle.survives(0, upper) and upper not in removed_uppers:
             continue
         for lower in _submasks(upper):
-            survives = not hug & ~lower and not extendable
+            survives = oracle.survives(lower, upper)
             present = (lower, upper) not in trace.removed
             if present and not survives:
                 mismatched_kept.append((lower, upper))

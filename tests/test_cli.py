@@ -273,6 +273,27 @@ class TestRefusals:
         self.assert_refused(proc)
         assert proc.stdout == ""
 
+    def test_retract_negative_cap(self, t2_file):
+        proc = run_cli(["retract", "--cap", "-1", t2_file])
+        self.assert_refused(proc)
+        assert "--cap" in proc.stderr and proc.stdout == ""
+
+    def test_analyze_negative_cap(self, t2_file):
+        proc = run_cli(["analyze", "--with-retraction", "--cap", "-1", t2_file])
+        self.assert_refused(proc)
+        assert "--cap" in proc.stderr and proc.stdout == ""
+
+    def test_verify_negative_budget(self, t2_file):
+        proc = run_cli(["verify", "--lemma", "oversize", "--budget", "-3", t2_file])
+        self.assert_refused(proc)
+        assert "--budget" in proc.stderr and proc.stdout == ""
+
+    def test_zero_cap_and_budget_keep_their_meaning(self, t2_file):
+        assert run_cli(["retract", "--cap", "0", t2_file]).returncode == 3
+        proc = run_cli(["verify", "--lemma", "oversize", "--budget", "0", t2_file])
+        assert proc.returncode == 0
+        assert proc.stdout == "oversize: inconclusive (0 configurations)\n"
+
     def test_gen_out_of_range_parameter(self):
         proc = run_cli(["gen", "--family", "path", "--n", "-2"])
         self.assert_refused(proc)

@@ -408,10 +408,11 @@ class TestSideScanReference:
                 ) == side_scan_is_hugged_in(cg, members, q_id, strict_principal=strict)
 
     @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
-    def test_preference_matches_side_scan(self, cg_cache, name):
-        # on a compatible set at most one configuration per (u, m) fits, so
-        # the preference shows only on incompatible sets: q with the huggers
-        # of any two of its configurations
+    def test_incompatible_member_sets_refused(self, cg_cache, name):
+        # q with the huggers of one or two of its configurations: a compatible
+        # set matches the side scan and any other set is refused; two distinct
+        # configurations of one (u, m) group are never compatible
+        # (TestFirstFitLemma)
         g = families.delta() if name == "delta" else small_fixture_graphs()[name]
         cg = cg_cache(g)
         for q_id in range(cg.n):
@@ -420,9 +421,14 @@ class TestSideScanReference:
             configs = hug_configs(cg, q_id)
             for a, b in itertools.combinations_with_replacement(configs, 2):
                 members = {q_id, *a.huggers, *b.huggers}
-                assert is_hugged_in(cg, members, q_id) == side_scan_is_hugged_in(
-                    cg, members, q_id
-                )
+                if cg.is_clique(members):
+                    assert is_hugged_in(cg, members, q_id) == side_scan_is_hugged_in(
+                        cg, members, q_id
+                    )
+                else:
+                    assert a != b
+                    with pytest.raises(HugError, match="not pairwise compatible"):
+                        is_hugged_in(cg, members, q_id)
 
     def test_oracle_matches_side_scan_on_rake2(self, cg_cache):
         cg = cg_cache(families.rake(2))
@@ -445,6 +451,28 @@ class TestSideScanReference:
                 for j in np_nodes
             )
             assert oracle.extendable_by_hugged(mask) == extendable
+
+
+class TestFirstFitLemma:
+    @pytest.mark.parametrize("strict, want_pairs", [(False, 4468), (True, 4220)])
+    def test_one_configuration_per_group_fits(self, cg_cache, strict, want_pairs):
+        # first fit in ``is_hugged_in`` rests on this: two distinct
+        # configurations of one (u, m) group never fit one compatible set
+        graphs = [*small_fixture_graphs().values(), families.delta()]
+        pairs = 0
+        for g in graphs:
+            cg = cg_cache(g)
+            for q_id in range(cg.n):
+                if cg.principal[q_id]:
+                    continue
+                configs = hug_configs(cg, q_id, strict_principal=strict)
+                for a, b in itertools.combinations(configs, 2):
+                    if (a.base_u, a.base_m) != (b.base_u, b.base_m):
+                        continue
+                    pairs += 1
+                    group = a.hugger_mask | b.hugger_mask | 1 << q_id
+                    assert not cg.is_clique(mask_iter(group))
+        assert pairs == want_pairs
 
 
 class TestPinnedVerdicts:

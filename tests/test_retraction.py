@@ -283,6 +283,23 @@ class TestRetract:
         assert len(trace.events) == 14600
         assert len(complete) == 14600
 
+    def test_hug_lookups_go_through_the_module_attribute(self, rake2_star, monkeypatch):
+        # the traced benchmark run wraps ``hugging.is_hugged_in`` and reads the
+        # span retract -> is_hugged_in, so the oracle must look the function
+        # up on the module at each call
+        from raagspine import hugging
+
+        calls = []
+        lookup = hugging.is_hugged_in
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(hugging, "is_hugged_in", counted)
+        retract(rake2_star)
+        assert calls
+
     @pytest.mark.slow
     def test_non_spiky_requires_warn_and_proceed(self, cg_cache):
         # spider tree: u relevant and non-principal, its dominator m commutes
