@@ -99,6 +99,13 @@ class CompatibilityGraph:
             m |= 1 << i
         return m
 
+    def extensions(self, mask: int) -> int:
+        """The nodes outside mask compatible with every node in it."""
+        common = (1 << self.n) - 1
+        for i in mask_iter(mask):
+            common &= self.adj[i]
+        return common & ~mask
+
     def is_clique(self, members) -> bool:
         ids = list(members)
         mask = self.members_mask(ids)

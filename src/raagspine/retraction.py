@@ -109,13 +109,6 @@ class StarComplex:
             sum(k * comb(s, d) for s, k in sizes.items()) for d in range(self.m_v + 1)
         ))
 
-    def supersets(self, clique: int) -> tuple[int, ...]:
-        """Member masks of every compatible set containing the given one."""
-        common = (1 << self.cg.n) - 1
-        for v in mask_iter(clique):
-            common &= self.cg.adj[v]
-        return tuple(clique | c for c in clique_masks(self.cg.adj, common))
-
 
 def build_star(cg: CompatibilityGraph, cap: int = 200000) -> StarComplex:
     """Enumerate every compatible set and assemble the face-closed cube set.
@@ -189,9 +182,9 @@ def retract(
     against the current complex; a cube whose designated face has cofaces
     outside it is left alone and retried on the next sweep, and sweeps repeat
     until no event fires; after each sweep the removed cubes leave the order,
-    so the next sweep visits only the cubes still present.  A blocked audit
-    stops at the first blocking coface; only a free face's cofaces are listed
-    in full, and compared with the 2^|H| cubes the collapse must remove.
+    so the next sweep visits only the cubes still present.  An audit reads
+    only the codimension-1 cofaces of the face (enough, as the present cubes
+    stay face closed), and a blocked cube remembers the coface blocking it.
     Blocked cubes that remain blocked at the fixpoint are reported in the
     trace, beside the set of removed cubes, which is the only record of the
     complex: the final f-vector is the star's closed form minus theirs.  (There are graphs, the
@@ -237,83 +230,90 @@ def retract(
             order.extend((lower, upper) for lower in _submasks(upper) if hug_all & ~lower)
     order.sort(key=sort_key)
     removed: set[tuple[int, int]] = set()
-    supersets = cache(star.supersets)  # few distinct faces, many lookups
     events: list[CollapseEvent] = []
+    # a blocked cube's blocker answers its next audit while present (removed
+    # only grows); the entry is dropped once the cube is removed
+    blockers: dict[tuple[int, int], tuple[int, int]] = {}
+    extensions = cache(cg.extensions)  # few distinct faces, many audits
 
-    def cofaces(lower: int, upper: int):
-        """Present cubes having (lower, upper) as a face, the face first."""
-        subs = tuple(_submasks(lower))
-        for b in supersets(upper):
-            for a in subs:
-                if (a, b) not in removed:
-                    yield a, b
+    def blocker(lower: int, upper: int, keep_lower: int, keep_upper: int):
+        """A present codimension-1 coface (lower - x, upper) with x outside
+        keep_lower, or (lower, upper + y) with y in extensions(upper) outside
+        keep_upper; None if there is none."""
+        for x in mask_iter(lower & ~keep_lower):
+            if (lower & ~(1 << x), upper) not in removed:
+                return (lower & ~(1 << x), upper)
+        for y in mask_iter(extensions(upper) & ~keep_upper):
+            if (lower, upper | 1 << y) not in removed:
+                return (lower, upper | 1 << y)
+        return None
 
-    def attempt(lower: int, upper: int) -> bool:
+    def attempt(cube: tuple[int, int]) -> bool:
         """Try one collapse event; True when the cube was collapsed."""
-        if (lower, upper) in removed:
+        if cube in removed:
             return False
+        lower, upper = cube
         hugged = oracle.hugged_mask(upper) & (upper & ~lower)
         face_upper = upper & ~hugged
-        if (lower, face_upper) in removed:
+        face = (lower, face_upper)
+        if face in removed:
             raise StructuralAssertionError(
-                "free face is absent although its cofaces are present",
-                (lower, upper),
-                (lower, face_upper),
+                "free face is absent although its cofaces are present", cube, face
             )
-        containing = []
-        for a, b in cofaces(lower, face_upper):
-            if a != lower or b & ~upper:
-                if strict_schedule:
-                    raise StructuralAssertionError(
-                        "free-face condition failed during the ordered collapse",
-                        (lower, upper),
-                        (lower, face_upper),
-                    )
-                return False
-            containing.append((a, b))
-        expected = {(lower, face_upper | sub) for sub in _submasks(hugged)}
-        if set(containing) != expected:
+        found = blockers.get(cube)
+        if found is None or found in removed:
+            found = blocker(lower, face_upper, 0, hugged)
+        if found is not None:
+            if strict_schedule:
+                raise StructuralAssertionError(
+                    "free-face condition failed during the ordered collapse", cube, face
+                )
+            blockers[cube] = found
+            return False
+        containing = [(lower, face_upper | sub) for sub in _submasks(hugged)]
+        if not removed.isdisjoint(containing):
             raise StructuralAssertionError(
                 "collapse would not remove exactly the faces between the "
                 "free face and the target",
-                (lower, upper),
-                (lower, face_upper),
+                cube,
+                face,
             )
         removed.update(containing)
+        blockers.pop(cube, None)
         events.append(
             CollapseEvent(
-                target=(lower, upper),
-                face=(lower, face_upper),
+                target=cube,
+                face=face,
                 hugged=hugged,
                 removed=len(containing),
             )
         )
         return True
 
-    def attempt_pair_down(lower: int, upper: int) -> bool:
+    def attempt_pair_down(cube: tuple[int, int]) -> bool:
         """Cleanup collapse for a cube whose hugged members cannot be dropped.
 
         The cube pairs with the face extending its lower set by the least
         non-hugged member; the pair must form a genuine elementary collapse
-        (the face's only present cofaces are itself and the cube, both
-        present here, so the walk stops at the first other one).
+        (the cube is the face's only present codimension-1 coface).
         """
-        if (lower, upper) in removed:
+        if cube in removed:
             return False
+        lower, upper = cube
         hugged = oracle.hugged_mask(upper) & ~lower
         rest = upper & ~lower & ~hugged
         if not rest:
             return False
         y = rest & -rest
         face = (lower | y, upper)
-        if face in removed:
+        if face in removed or blocker(lower | y, upper, y, 0) is not None:
             return False
-        if any(c != face and c != (lower, upper) for c in cofaces(*face)):
-            return False
-        removed.update(((lower, upper), face))
+        removed.update((cube, face))
+        blockers.pop(cube, None)
+        blockers.pop(face, None)
         events.append(
             CollapseEvent(
-                target=(lower, upper),
+                target=cube,
                 face=face,
                 hugged=hugged,
                 removed=2,
@@ -322,15 +322,15 @@ def retract(
         )
         return True
 
-    def cleanup(lower: int, upper: int) -> bool:
-        return attempt(lower, upper) or attempt_pair_down(lower, upper)
+    def cleanup(cube: tuple[int, int]) -> bool:
+        return attempt(cube) or attempt_pair_down(cube)
 
     for step in (attempt,) if strict_schedule else (attempt, cleanup):
         progressed = True
         while progressed:
             progressed = False
-            for lower, upper in order:
-                if step(lower, upper):
+            for cube in order:
+                if step(cube):
                     progressed = True
             order = [cube for cube in order if cube not in removed]
 

@@ -31,8 +31,7 @@ and the whole class leaves the candidates (orbital branching at the root;
 Ostrowski, Linderoth, Rossi & Smriglio, 2011).  Deeper nodes and the witness
 pass search without it.
 
-``clique_masks`` is the one clique enumerator: the star complex, its coface
-lookups and the oversize verifier all walk it.
+``clique_masks`` is the one clique enumerator (star complex, oversize verifier).
 """
 
 from __future__ import annotations
@@ -247,13 +246,7 @@ def is_inextendible(cg: CompatibilityGraph, members: Iterable[int]) -> bool:
     ids = sorted(set(members))
     if not cg.is_clique(ids):
         raise ValueError("the given set is not pairwise compatible")
-    mask = cg.members_mask(ids)
-    for j in range(cg.n):
-        if mask >> j & 1:
-            continue
-        if cg.adj[j] & mask == mask:
-            return False
-    return True
+    return not cg.extensions(cg.members_mask(ids))
 
 
 def clique_masks(
