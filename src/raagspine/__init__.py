@@ -40,7 +40,6 @@ from .hugging import (
     hug_candidates,
     is_hugged_in,
     verify_hug_compat,
-    verify_lemma_conclusions,
     verify_oversize_hugged,
     verify_replacement,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "parse_graph",
     "retract",
     "verify_hug_compat",
-    "verify_lemma_conclusions",
     "verify_oversize_hugged",
     "verify_replacement",
     "whitehead_images",

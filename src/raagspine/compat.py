@@ -55,8 +55,8 @@ class CompatibilityGraph:
 
     ``adj[i]`` is a bitmask over node indices; ``principal[i]`` says whether
     node i is a principal partition; ``bases[i]`` is its set of legal bases.
-    ``_hug_configs`` memoises ``hugging.hug_configs`` per (node,
-    strict_principal); it is filled lazily and is not part of the value.
+    ``_hug_configs`` memoises ``hugging.hug_configs`` per node id; it is
+    filled lazily and is not part of the value.
     """
 
     graph: SimplicialGraph

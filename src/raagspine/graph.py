@@ -71,7 +71,9 @@ class SimplicialGraph:
         if len(set(names)) != len(names):
             raise GraphError("duplicate vertex names")
         for name in names:
-            if not name or any(c.isspace() for c in name) or name.startswith("#"):
+            # the CLI splits name lists at commas and reads a trailing ^-1 as an inverse
+            bad = not name or name.startswith("#") or name.endswith("^-1")
+            if bad or any(c.isspace() or c == "," for c in name):
                 raise GraphError(f"invalid vertex name: {name!r}")
         index = {name: i for i, name in enumerate(names)}
         edge_ids = set()

@@ -18,10 +18,8 @@ the hugging partitions can be found among its members.
 per node, every configuration of huggers in the compatibility graph.
 ``is_hugged_in`` (and through it the retraction's ``HugOracle``) is the one
 lookup: the first configuration whose hugger mask lies in a compatible
-member set.  The brute-force verifiers iterate the table.
-
-By default the dominator m may itself be non-principal; ``strict_principal``
-restricts detection to principal m.
+member set.  The brute-force verifiers iterate the table.  The dominator m
+may itself be non-principal.
 """
 
 from __future__ import annotations
@@ -116,29 +114,25 @@ def hug_candidates(
     return pairs
 
 
-def hug_configs(
-    cg: CompatibilityGraph, q_id: int, *, strict_principal: bool = False
-) -> tuple[HugWitness, ...]:
+def hug_configs(cg: CompatibilityGraph, q_id: int) -> tuple[HugWitness, ...]:
     """Every way the graph's partitions can hug node q_id.
 
     One witness per distribution of ``hug_candidates``, for each legal base u
     of q and each dominator m of u in id order, so a configuration repeats
     once per legal base.  A thin half is dropped, leaving a one-hug.  Built
-    on first use and memoised on ``cg`` per (q_id, strict_principal).
+    on first use and memoised on ``cg`` per node.
     """
-    key = (q_id, strict_principal)
-    if key not in cg._hug_configs:
-        cg._hug_configs[key] = tuple(_build_configs(cg, q_id, strict_principal))
-    return cg._hug_configs[key]
+    if q_id not in cg._hug_configs:
+        cg._hug_configs[q_id] = tuple(_build_configs(cg, q_id))
+    return cg._hug_configs[q_id]
 
 
-def _build_configs(cg: CompatibilityGraph, q_id: int, strict_principal: bool):
+def _build_configs(cg: CompatibilityGraph, q_id: int):
     g = cg.graph
     q = cg.nodes[q_id]
     cls = g.classify_vertices()
     for u in sorted(q.max_bases):
-        doms = cls.dominators[u]
-        for m in sorted(doms & cls.principal if strict_principal else doms):
+        for m in sorted(cls.dominators[u]):
             side_q, units = hug_context(g, q, u, m)
             for p1, p2 in hug_candidates(g, q, m):
                 huggers = tuple(cg.node_of.get(p) for p in (p1, p2) if p.thick)
@@ -165,11 +159,7 @@ def _build_configs(cg: CompatibilityGraph, q_id: int, strict_principal: bool):
 
 
 def is_hugged_in(
-    cg: CompatibilityGraph,
-    members: Iterable[int],
-    q_id: int,
-    *,
-    strict_principal: bool = False,
+    cg: CompatibilityGraph, members: Iterable[int], q_id: int
 ) -> Optional[HugWitness]:
     """A hug witness for member q_id inside the compatible set, or None.
 
@@ -187,7 +177,7 @@ def is_hugged_in(
         raise HugError("only non-principal partitions can be hugged")
     if mask & ~common:
         raise HugError("the member set is not pairwise compatible")
-    for w in hug_configs(cg, q_id, strict_principal=strict_principal):
+    for w in hug_configs(cg, q_id):
         if not w.hugger_mask & ~mask:
             return w
     return None
@@ -197,9 +187,8 @@ class HugOracle:
     """Per compatible member set, caches the hugged members and whether a
     hugged extension exists (through ``is_hugged_in``); the survivor rule."""
 
-    def __init__(self, cg: CompatibilityGraph, *, strict_principal: bool = False):
+    def __init__(self, cg: CompatibilityGraph):
         self.cg = cg
-        self.strict_principal = strict_principal
         self._hugged: dict[int, int] = {}
         self._extendable: dict[int, bool] = {}
         self._np_mask = (1 << cg.n) - 1 & ~cg.principal_mask
@@ -216,7 +205,7 @@ class HugOracle:
         out = sum(
             1 << q_id
             for q_id in mask_iter(candidates)
-            if is_hugged_in(self.cg, ids, q_id, strict_principal=self.strict_principal)
+            if is_hugged_in(self.cg, ids, q_id)
         )
         self._hugged[members_mask] = out
         return out
@@ -231,10 +220,7 @@ class HugOracle:
         if cached is not None:
             return cached
         out = any(
-            is_hugged_in(
-                self.cg, mask_iter(members_mask | 1 << j), j,
-                strict_principal=self.strict_principal,
-            )
+            is_hugged_in(self.cg, mask_iter(members_mask | 1 << j), j)
             for j in mask_iter(outside)
             if self.cg.adj[j] & members_mask == members_mask
         )
@@ -248,12 +234,7 @@ class HugOracle:
 
 
 def cube_survives(
-    cg: CompatibilityGraph,
-    lower: Iterable[int],
-    upper: Iterable[int],
-    *,
-    strict_principal: bool = False,
-    oracle: Optional[HugOracle] = None,
+    cg: CompatibilityGraph, lower: Iterable[int], upper: Iterable[int]
 ) -> bool:
     """Survivor predicate for the cube (lower, upper): ``HugOracle.survives``
     after checking that lower ⊆ upper and that upper is compatible."""
@@ -263,9 +244,7 @@ def cube_survives(
         raise HugError("lower set is not contained in upper set")
     if not cg.is_clique(mask_iter(upper_mask)):
         raise HugError("upper set is not pairwise compatible")
-    if oracle is None:
-        oracle = HugOracle(cg, strict_principal=strict_principal)
-    return oracle.survives(lower_mask, upper_mask)
+    return HugOracle(cg).survives(lower_mask, upper_mask)
 
 
 # -- finite verification of the key statements -------------------------
@@ -283,9 +262,7 @@ class Verdict:
         return self.status == "pass"
 
 
-def verify_oversize_hugged(
-    cg: CompatibilityGraph, budget: int, *, strict_principal: bool = False
-) -> Verdict:
+def verify_oversize_hugged(cg: CompatibilityGraph, budget: int) -> Verdict:
     """Every compatible set larger than M(L) must contain a hugged member.
 
     Exhaustive over all such sets, barbed graphs only.  ``budget`` caps the
@@ -298,7 +275,7 @@ def verify_oversize_hugged(
     if not barbed:
         raise HugError("oversize verification requires a barbed graph")
     m_l = max_compatible(cg, cg.graph.classify_vertices().principal).size
-    oracle = HugOracle(cg, strict_principal=strict_principal)
+    oracle = HugOracle(cg)
     checked = 0
     for mask in clique_masks(cg.adj, (1 << cg.n) - 1, min_size=m_l + 1):
         if checked >= budget:
@@ -314,9 +291,7 @@ def verify_oversize_hugged(
     return Verdict(status="pass", checked=checked)
 
 
-def verify_hug_compat(
-    cg: CompatibilityGraph, budget: int, *, strict_principal: bool = False
-) -> Verdict:
+def verify_hug_compat(cg: CompatibilityGraph, budget: int) -> Verdict:
     """Check: a non-principal partition compatible with all huggers of a
     hugged q is compatible with q itself.
 
@@ -327,7 +302,7 @@ def verify_hug_compat(
     witnesses = []
     np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
     for q_id in np_nodes:
-        for config in hug_configs(cg, q_id, strict_principal=strict_principal):
+        for config in hug_configs(cg, q_id):
             hugger_mask = config.hugger_mask
             for q2 in np_nodes:
                 if q2 == q_id:
@@ -351,33 +326,10 @@ def verify_hug_compat(
     return Verdict(status="pass", checked=checked)
 
 
-def verify_lemma_conclusions(
-    cg: CompatibilityGraph, budget: int, *, strict_principal: bool = False
-) -> dict[str, Verdict]:
-    """Both brute-force conclusion checks, each on half the budget.
-
-    "hug-compat": a non-principal partition compatible with all huggers of a
-    hugged one is compatible with it (holds under Condition 1).
-    "replacement": a principal partition compatible with the huggers of two
-    hugged members is compatible with one of them (holds under Condition 2,
-    and for some graphs beyond it).
-    """
-    half = max(budget // 2, 1)
-    return {
-        "hug-compat": verify_hug_compat(
-            cg, half, strict_principal=strict_principal
-        ),
-        "replacement": verify_replacement(
-            cg, half, strict_principal=strict_principal
-        ),
-    }
-
-
 def verify_replacement(
     cg: CompatibilityGraph,
     budget: int,
     *,
-    strict_principal: bool = False,
     q_bases: Optional[frozenset[int]] = None,
     r_bases: Optional[frozenset[int]] = None,
 ) -> Verdict:
@@ -404,8 +356,8 @@ def verify_replacement(
         for qb in np_nodes:
             if qb <= qa or not cg.edge(qa, qb):
                 continue
-            for wa in hug_configs(cg, qa, strict_principal=strict_principal):
-                for wb in hug_configs(cg, qb, strict_principal=strict_principal):
+            for wa in hug_configs(cg, qa):
+                for wb in hug_configs(cg, qb):
                     hugger_mask = wa.hugger_mask | wb.hugger_mask
                     group = hugger_mask | 1 << qa | 1 << qb
                     if not cg.is_clique(mask_iter(group)):

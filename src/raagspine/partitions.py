@@ -139,12 +139,11 @@ def _compute_max(g: SimplicialGraph, split: frozenset[int]) -> frozenset[int]:
 
 
 def make_partition(
-    g: SimplicialGraph, side1: Iterable[int], side2: Iterable[int], *, allow_thin: bool = False
+    g: SimplicialGraph, side1: Iterable[int], side2: Iterable[int]
 ) -> Partition:
     """Build a partition from two sides given as signed-vertex collections.
 
-    The link is whatever remains of V±.  Validates the defining conditions;
-    ``allow_thin`` relaxes only the two-elements-per-side requirement.
+    The link is whatever remains of V±.  Validates the defining conditions.
     """
     m1 = 0
     for s in side1:
@@ -152,16 +151,11 @@ def make_partition(
     m2 = 0
     for s in side2:
         m2 |= 1 << s
-    return _partition_from_masks(g, m1, m2, allow_thin=allow_thin, validate=True)
+    return _partition_from_masks(g, m1, m2, validate=True)
 
 
 def _partition_from_masks(
-    g: SimplicialGraph,
-    m1: int,
-    m2: int,
-    *,
-    allow_thin: bool = False,
-    validate: bool = True,
+    g: SimplicialGraph, m1: int, m2: int, *, validate: bool = True
 ) -> Partition:
     full = (1 << (2 * g.n)) - 1
     if m1 & m2:
@@ -173,7 +167,7 @@ def _partition_from_masks(
     if validate:
         if not split:
             raise PartitionError("no vertex is split; the partition has no base")
-        if not thick and not allow_thin:
+        if not thick:
             raise PartitionError("thin side: each side needs at least two elements")
         for m in max_bases:
             if link != g.link_mask(m):

@@ -150,7 +150,6 @@ class RetractionTrace:
     initial_stats: ComplexStats
     final_stats: ComplexStats
     removed: frozenset[tuple[int, int]]  # the collapsed cubes; the rest survive
-    strict_principal: bool
 
     def to_dict(self) -> dict:
         return {
@@ -166,7 +165,6 @@ def retract(
     *,
     warn_and_proceed: bool = False,
     strict_schedule: bool = False,
-    strict_principal: bool = False,
     tie_break: Optional[Callable[[tuple[int, int]], object]] = None,
 ) -> RetractionTrace:
     """Run the ordered collapse over the star; returns the audited trace.
@@ -222,7 +220,7 @@ def retract(
         assert t >= 0 and p >= 0
         return (b, t, p, tie_break(cube))
 
-    oracle = HugOracle(cg, strict_principal=strict_principal)
+    oracle = HugOracle(cg)
     order = []  # the cubes that can fire; see the docstring
     for upper in star.cliques:
         hug_all = oracle.hugged_mask(upper)
@@ -345,7 +343,6 @@ def retract(
         initial_stats=initial_stats,
         final_stats=_stats_of(tuple(f_vector)),
         removed=frozenset(removed),
-        strict_principal=strict_principal,
     )
 
 
@@ -359,7 +356,7 @@ def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "Crossche
     other upper set are visited.
     """
     cg = star.cg
-    oracle = HugOracle(cg, strict_principal=trace.strict_principal)
+    oracle = HugOracle(cg)
     removed_uppers = {upper for _, upper in trace.removed}
     mismatched_kept: list[tuple[int, int]] = []
     mismatched_lost: list[tuple[int, int]] = []

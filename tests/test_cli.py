@@ -294,6 +294,24 @@ class TestRefusals:
         assert proc.returncode == 0
         assert proc.stdout == "oversize: inconclusive (0 configurations)\n"
 
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            ("edge a,b c\nedge c d\n", ["max-set", "--vertices", "a,b"]),
+            (
+                "edge x y\nedge y x^-1\nedge x^-1 z\nedge z w\n",
+                ["apply-aut", "--side", "x^-1,y", "--base", "x^-1"],
+            ),
+            ("edge x y\nedge y x^-1\nedge x^-1 z\nedge z w\n", ["partitions"]),
+        ],
+        ids=["comma", "apply-aut-inverse-marker", "partitions-inverse-marker"],
+    )
+    def test_names_the_cli_cannot_address(self, text, args):
+        proc = run_cli([*args, "-"], stdin_text=text)
+        self.assert_refused(proc)
+        assert "invalid vertex name" in proc.stderr
+        assert proc.stdout == ""
+
     def test_gen_out_of_range_parameter(self):
         proc = run_cli(["gen", "--family", "path", "--n", "-2"])
         self.assert_refused(proc)

@@ -259,6 +259,15 @@ class TestTextFormat:
         with pytest.raises(GraphParseError):
             parse_graph("edge a a\n")
 
+    @pytest.mark.parametrize("name", ["a,b", ",", "x^-1", "^-1"])
+    def test_names_the_cli_cannot_address_rejected(self, name):
+        # the CLI splits name lists at commas and reads a trailing ^-1 as the
+        # inverse letter
+        with pytest.raises(GraphError, match="invalid vertex name"):
+            SimplicialGraph(["a", name], [])
+        with pytest.raises(GraphError, match="invalid vertex name"):
+            parse_graph(f"edge a {name}\n")
+
     def test_disconnected_warns_but_parses(self):
         g = parse_graph("vertex a\nvertex b\n")
         assert g.validation_warnings() == ["graph is disconnected"]

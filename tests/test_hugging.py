@@ -252,7 +252,7 @@ class TestLemmaConclusions:
         q = node_id(cg, ["u", "a"])
         hugger = node_id(cg, ["m", "u", "a"])
         q2 = node_id(cg, ["u2", "u"])
-        witness = is_hugged_in(cg, [q, hugger], q, strict_principal=True)
+        witness = is_hugged_in(cg, [q, hugger], q)
         assert witness is not None and witness.huggers == (hugger,)
         assert cg.edge(q2, hugger)
         assert not cg.edge(q2, q)
@@ -277,13 +277,6 @@ class TestLemmaConclusions:
     def test_budget_exhaustion(self, cg_cache):
         verdict = verify_hug_compat(cg_cache(families.rake(2)), budget=3)
         assert verdict.status == "inconclusive"
-
-    def test_combined_wrapper(self, cg_cache):
-        from raagspine import verify_lemma_conclusions
-
-        verdicts = verify_lemma_conclusions(cg_cache(families.rake(2)), budget=10**6)
-        assert verdicts["hug-compat"].passed
-        assert verdicts["replacement"].passed
 
     def test_delta_maximum_set_members_all_hugged(self, cg_cache):
         # the explicit size-14 set is oversize (M(L) = 11) on a barbed graph,
@@ -317,7 +310,7 @@ class TestLemmaConclusions:
         assert kinds == {"a1": "one-hug", "a2": "two-hug", "v1": "one-hug"}
 
 
-def side_scan_is_hugged_in(cg, members, q_id, *, strict_principal=False):
+def side_scan_is_hugged_in(cg, members, q_id):
     """Reference oracle: hug detection by scanning the members' sides.
 
     For each legal base u of q and dominator m of u, every member based at m
@@ -335,8 +328,7 @@ def side_scan_is_hugged_in(cg, members, q_id, *, strict_principal=False):
     q = cg.nodes[q_id]
     cls = g.classify_vertices()
     for u in sorted(q.max_bases):
-        doms = cls.dominators[u] & cls.principal if strict_principal else cls.dominators[u]
-        for m in sorted(doms):
+        for m in sorted(cls.dominators[u]):
             side_q, units = hug_context(g, q, u, m)
             target = 0
             for mu in units:
@@ -394,18 +386,17 @@ def cliques_through(cg, q_id, extra, cap):
 
 
 class TestSideScanReference:
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
-    def test_witnesses_match_side_scan(self, cg_cache, name, strict):
+    def test_witnesses_match_side_scan(self, cg_cache, name):
         g = families.delta() if name == "delta" else small_fixture_graphs()[name]
         cg = cg_cache(g)
         for q_id in range(cg.n):
             if cg.principal[q_id]:
                 continue
             for members in cliques_through(cg, q_id, 3, 500):
-                assert is_hugged_in(
-                    cg, members, q_id, strict_principal=strict
-                ) == side_scan_is_hugged_in(cg, members, q_id, strict_principal=strict)
+                assert is_hugged_in(cg, members, q_id) == side_scan_is_hugged_in(
+                    cg, members, q_id
+                )
 
     @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
     def test_incompatible_member_sets_refused(self, cg_cache, name):
@@ -454,8 +445,7 @@ class TestSideScanReference:
 
 
 class TestFirstFitLemma:
-    @pytest.mark.parametrize("strict, want_pairs", [(False, 4468), (True, 4220)])
-    def test_one_configuration_per_group_fits(self, cg_cache, strict, want_pairs):
+    def test_one_configuration_per_group_fits(self, cg_cache):
         # first fit in ``is_hugged_in`` rests on this: two distinct
         # configurations of one (u, m) group never fit one compatible set
         graphs = [*small_fixture_graphs().values(), families.delta()]
@@ -465,14 +455,14 @@ class TestFirstFitLemma:
             for q_id in range(cg.n):
                 if cg.principal[q_id]:
                     continue
-                configs = hug_configs(cg, q_id, strict_principal=strict)
+                configs = hug_configs(cg, q_id)
                 for a, b in itertools.combinations(configs, 2):
                     if (a.base_u, a.base_m) != (b.base_u, b.base_m):
                         continue
                     pairs += 1
                     group = a.hugger_mask | b.hugger_mask | 1 << q_id
                     assert not cg.is_clique(mask_iter(group))
-        assert pairs == want_pairs
+        assert pairs == 4468
 
 
 class TestPinnedVerdicts:
@@ -509,4 +499,4 @@ class TestPinnedVerdicts:
         assert len(np_nodes) == 30
         verdict = verify_hug_compat(cg, budget=2000)
         assert (verdict.status, verdict.checked) == ("inconclusive", 2000)
-        assert set(cg._hug_configs) == {(q, False) for q in np_nodes[:2]}
+        assert set(cg._hug_configs) == set(np_nodes[:2])

@@ -144,13 +144,6 @@ class TestInvariants:
 
     def test_thin_constructor_flagged(self):
         g = families.rake(1)
-        thin = make_partition(
-            g,
-            [signed(g, "a1")],
-            [signed(g, "a1^-1"), signed(g, "u"), signed(g, "u^-1")],
-            allow_thin=True,
-        )
-        assert not thin.thick
         with pytest.raises(PartitionError):
             make_partition(
                 g,

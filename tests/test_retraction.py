@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from raagspine import (
     families,
     retract,
 )
-from raagspine.graph import mask_iter
+from raagspine.graph import SimplicialGraph, mask_iter
 from raagspine.hugging import HugOracle
 from raagspine.retraction import StructuralAssertionError, _submasks
 from raagspine.search import CapExceededError
@@ -48,7 +50,7 @@ def assert_skipped_blocked(star, trace):
     coface walk, has a present coface outside the cubes its collapse would
     remove."""
     present_cofaces = reference_cofaces(star)
-    hug = HugOracle(star.cg, strict_principal=trace.strict_principal)
+    hug = HugOracle(star.cg)
     for lower, upper in trace.skipped:
         face_upper = upper & ~(hug.hugged_mask(upper) & ~lower)
         cofaces = present_cofaces(trace.removed, lower, face_upper)
@@ -58,7 +60,7 @@ def assert_skipped_blocked(star, trace):
 
 def reference_crosscheck(star, trace):
     """The crosscheck visiting every cube of the star, as (ok, kept, lost)."""
-    oracle = HugOracle(star.cg, strict_principal=trace.strict_principal)
+    oracle = HugOracle(star.cg)
     kept, lost = [], []
     for upper in star.cliques:
         hug = oracle.hugged_mask(upper)
@@ -98,22 +100,42 @@ def rake2_trace(rake2_star):
     return retract(rake2_star)
 
 
+def census_graph(index):
+    """Graph ``index`` of the benchmark's census pool, as pinned in
+    perfbench/census_answers.json."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "census_answers.json"
+    entry = json.loads(path.read_text())[index]
+    names = [f"x{v}" for v in range(entry["n"])]
+    return SimplicialGraph(names, [(f"x{a}", f"x{b}") for a, b in entry["edges"]])
+
+
 @pytest.fixture(scope="module")
-def fixture_traces(cg_cache, rake2_star, rake2_trace):
+def small_traces(cg_cache, rake2_star, rake2_trace):
     """(star, trace) of every small fixture whose star builds under the
-    default cap, except compatibility-example (whose trace is pinned in
-    test_closed_form_stats_match_the_cube_stream)."""
+    default cap, each retracted once."""
     from conftest import small_fixture_graphs
 
     out = {"rake2": (rake2_star, rake2_trace)}
     for name, g in small_fixture_graphs().items():
-        if name in out or name == "compatibility-example":
+        if name in out:
             continue
         try:
             star = build_star(cg_cache(g))
         except CapExceededError:
             continue
         out[name] = (star, retract(star, warn_and_proceed=True))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fixture_traces(cg_cache, small_traces):
+    """The small traces except compatibility-example (whose trace is pinned
+    in test_closed_form_stats_match_the_cube_stream), plus census-pool graph
+    173: not spiky, 151 compatible sets and 96 events, and unlike the 2-rake
+    it has audits decided by a lower-set drop."""
+    out = {k: v for k, v in small_traces.items() if k != "compatibility-example"}
+    star = build_star(cg_cache(census_graph(173)))
+    out["census173"] = (star, retract(star, warn_and_proceed=True))
     return out
 
 
@@ -181,24 +203,16 @@ class TestBuildStar:
             star = build_star(cg_cache(g))
             assert star.stats().euler_characteristic == 1
 
-    def test_closed_form_stats_match_the_cube_stream(self, cg_cache):
+    def test_closed_form_stats_match_the_cube_stream(self, small_traces):
         # the star's closed form and the retraction's subtraction, each
         # against a recount of the cubes
-        from conftest import small_fixture_graphs
-
         checked = 0
-        for name, g in small_fixture_graphs().items():
-            try:
-                star = build_star(cg_cache(g))
-            except CapExceededError:
-                continue
+        for name, (star, trace) in small_traces.items():
             assert star.stats() == complex_stats(star.cubes())
-            trace = retract(star, warn_and_proceed=True)
             assert trace.final_stats == complex_stats(final_cubes(star, trace))
             checked += 1
             if name == "compatibility-example":
-                # the largest retraction in the suite, pinned here so that it
-                # runs once
+                # the largest retraction in the suite, pinned here
                 kinds = Counter(e.kind for e in trace.events)
                 assert kinds == {"drop-hugged": 11264, "pair-down": 72048}
                 assert trace.skipped == ()
@@ -242,7 +256,7 @@ class TestRetract:
     def test_face_closure_preserved(self, fixture_traces):
         # the local audit rests on this: no removed cube is a face of a
         # present one, i.e. every coface of a removed cube is removed
-        assert len(fixture_traces) == 10
+        assert len(fixture_traces) == 11
         for name, (star, trace) in fixture_traces.items():
             present_cofaces = reference_cofaces(star)
             for cube in trace.removed:
@@ -266,7 +280,7 @@ class TestRetract:
                 oracle_events += 1
             assert removed == trace.removed
             assert_skipped_blocked(star, trace)
-        assert oracle_events == 14600
+        assert oracle_events == 14600 + 96
 
     def test_events_audited_removed_counts(self, rake2_star, rake2_trace):
         star = rake2_star
@@ -459,22 +473,10 @@ class TestCrosscheck:
         assert final_cubes(star, trace) == frozenset(closure(pred))
         assert pred < final_cubes(star, trace)
 
-    def test_matches_the_per_cube_reference(self, cg_cache):
-        from conftest import small_fixture_graphs
-
-        checked = 0
-        for g in small_fixture_graphs().values():
-            try:
-                star = build_star(cg_cache(g))
-            except CapExceededError:
-                continue
-            for strict_principal in (False, True):
-                trace = retract(
-                    star, warn_and_proceed=True, strict_principal=strict_principal
-                )
-                assert crosscheck_answer(star, trace) == reference_crosscheck(star, trace)
-            checked += 1
-        assert checked == 11
+    def test_matches_the_per_cube_reference(self, small_traces):
+        assert len(small_traces) == 11
+        for star, trace in small_traces.values():
+            assert crosscheck_answer(star, trace) == reference_crosscheck(star, trace)
 
     def test_removed_cube_of_an_unhugged_upper_is_reported(self, cg_cache):
         # edgeless(3) hugs nothing, so only its removed cube keeps the upper
@@ -545,12 +547,6 @@ class TestCrosscheck:
     def test_rake2_f_vectors_pinned(self, rake2_star, rake2_trace):
         assert rake2_star.stats().f_vector == (3825, 15108, 24260, 20192, 9136, 2112, 192)
         assert rake2_trace.final_stats.f_vector == (3225, 11444, 15940, 10888, 3648, 480)
-
-    def test_strict_principal_mode_agrees_on_rake2(self, rake2_star, rake2_trace):
-        # every dominator of the rake's relevant non-principal vertex is
-        # principal, so the relaxed and strict hug modes must coincide
-        strict = retract(rake2_star, strict_principal=True)
-        assert final_cubes(rake2_star, rake2_trace) == final_cubes(rake2_star, strict)
 
 
 def greedy_collapse(cubes):
