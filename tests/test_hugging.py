@@ -385,6 +385,30 @@ def cliques_through(cg, q_id, extra, cap):
     return out
 
 
+def assert_oracle_matches_side_scan(cg, sets):
+    """``HugOracle``'s hugged members, hugged extensions and survivor rule on
+    each compatible set mask, against ``side_scan_is_hugged_in``."""
+    oracle = HugOracle(cg)
+    np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
+    for mask in sets:
+        ids = list(mask_iter(mask))
+        hugged = sum(
+            1 << q
+            for q in ids
+            if not cg.principal[q] and side_scan_is_hugged_in(cg, ids, q)
+        )
+        assert oracle.hugged_mask(mask) == hugged
+        extendable = any(
+            not mask >> j & 1
+            and cg.adj[j] & mask == mask
+            and side_scan_is_hugged_in(cg, [*ids, j], j)
+            for j in np_nodes
+        )
+        assert oracle.extendable_by_hugged(mask) == extendable
+        assert oracle.survives(0, mask) == (not hugged and not extendable)
+        assert oracle.survives(hugged, mask) == (not extendable)
+
+
 class TestSideScanReference:
     @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
     def test_witnesses_match_side_scan(self, cg_cache, name):
@@ -423,25 +447,19 @@ class TestSideScanReference:
 
     def test_oracle_matches_side_scan_on_rake2(self, cg_cache):
         cg = cg_cache(families.rake(2))
-        oracle = HugOracle(cg)
         sets = list(clique_masks(cg.adj, (1 << cg.n) - 1))
         assert len(sets) == 3825
-        np_nodes = [i for i in range(cg.n) if not cg.principal[i]]
-        for mask in sets:
-            ids = list(mask_iter(mask))
-            hugged = sum(
-                1 << q
-                for q in ids
-                if not cg.principal[q] and side_scan_is_hugged_in(cg, ids, q)
-            )
-            assert oracle.hugged_mask(mask) == hugged
-            extendable = any(
-                not mask >> j & 1
-                and cg.adj[j] & mask == mask
-                and side_scan_is_hugged_in(cg, [*ids, j], j)
-                for j in np_nodes
-            )
-            assert oracle.extendable_by_hugged(mask) == extendable
+        assert_oracle_matches_side_scan(cg, sets)
+
+    @pytest.mark.parametrize("name", [*small_fixture_graphs(), "delta"])
+    def test_oracle_matches_side_scan(self, cg_cache, name):
+        # the survivor rule's memoised masks on every fixture, over the
+        # compatible sets of at most four members (about 1,500 of them, evenly
+        # spaced in lexicographic order, where there are more)
+        g = families.delta() if name == "delta" else small_fixture_graphs()[name]
+        cg = cg_cache(g)
+        sets = list(clique_masks(cg.adj, (1 << cg.n) - 1, max_size=4))
+        assert_oracle_matches_side_scan(cg, sets[:: max(1, len(sets) // 1500)])
 
 
 class TestFirstFitLemma:
