@@ -11,7 +11,7 @@ pairwise definitions it agrees with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .graph import SimplicialGraph, mask_iter
 from .partitions import Partition, all_partitions, inversion_class
@@ -129,34 +129,36 @@ def compatibility_graph(g: SimplicialGraph) -> CompatibilityGraph:
     every node some quadrant of which with node i is empty, plus the crossing
     nodes adjacent to it.  Adjacency is taken both ways, as in
     ``is_adjacent``, and a crossing pair on which the two disagree raises
-    ``RuntimeError``.
+    ``RuntimeError``.  Rows of nodes meeting a side, or based in a link, are
+    built once per mask.
     """
     nodes = tuple(all_partitions(g))
     n = len(nodes)
     everyone = (1 << n) - 1
+    positive = (1 << 2 * g.n) // 3
+    # indexed by signed letter; in_link and in_max use the positive ones only
     in_side = [0] * (2 * g.n)
-    in_link = [0] * g.n
-    in_max = [0] * g.n
-    link_sets = [p.link_vertices() for p in nodes]
+    in_link = [0] * (2 * g.n)
+    in_max = [0] * (2 * g.n)
     for i, p in enumerate(nodes):
         for s in mask_iter(p.side_a):
             in_side[s] |= 1 << i
         for s in mask_iter(p.side_b):
             in_side[s] |= 1 << n + i
-        for v in link_sets[i]:
-            in_link[v] |= 1 << i
+        for s in mask_iter(p.link & positive):
+            in_link[s] |= 1 << i
         for v in p.max_bases:
-            in_max[v] |= 1 << i
+            in_max[2 * v] |= 1 << i
+    meets = cache(lambda side: _union(in_side, side))
+    backwards = cache(lambda link: everyone & ~_union(in_max, ~link & positive))
     adj = []
     for i, p in enumerate(nodes):
-        meet_a = _union(in_side, p.side_a)
-        meet_b = _union(in_side, p.side_b)
+        meet_a, meet_b = meets(p.side_a), meets(p.side_b)
         crossing = meet_a & meet_a >> n & meet_b & meet_b >> n & everyone
         forward = everyone
         for v in p.max_bases:
-            forward &= in_link[v]
-        outside_link = sum(1 << v for v in range(g.n) if v not in link_sets[i])
-        backward = everyone & ~_union(in_max, outside_link)
+            forward &= in_link[2 * v]
+        backward = backwards(p.link)
         if (forward ^ backward) & crossing:
             raise RuntimeError(
                 "adjacency asymmetry: the two defining formulations disagree"

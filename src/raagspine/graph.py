@@ -56,6 +56,12 @@ class GraphError(ValueError):
     pass
 
 
+def _valid_name(name: str) -> bool:
+    # the CLI splits name lists at commas and reads a trailing ^-1 as an inverse
+    bad = not name or name.startswith("#") or name.endswith("^-1")
+    return not (bad or any(c.isspace() or c == "," for c in name))
+
+
 class SimplicialGraph:
     """A finite simplicial graph with ordered, named vertices.
 
@@ -71,9 +77,7 @@ class SimplicialGraph:
         if len(set(names)) != len(names):
             raise GraphError("duplicate vertex names")
         for name in names:
-            # the CLI splits name lists at commas and reads a trailing ^-1 as an inverse
-            bad = not name or name.startswith("#") or name.endswith("^-1")
-            if bad or any(c.isspace() or c == "," for c in name):
+            if not _valid_name(name):
                 raise GraphError(f"invalid vertex name: {name!r}")
         index = {name: i for i, name in enumerate(names)}
         edge_ids = set()
@@ -325,8 +329,10 @@ def parse_graph(text: str) -> SimplicialGraph:
     seen: set[str] = set()
     edges: list[tuple[str, str]] = []
 
-    def declare(name: str) -> None:
+    def declare(name: str, lineno: int) -> None:
         if name not in seen:
+            if not _valid_name(name):
+                raise GraphParseError(f"invalid vertex name: {name!r}", lineno)
             seen.add(name)
             names.append(name)
 
@@ -338,15 +344,15 @@ def parse_graph(text: str) -> SimplicialGraph:
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphParseError("expected: vertex <name>", lineno)
-            declare(parts[1])
+            declare(parts[1], lineno)
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise GraphParseError("expected: edge <name> <name>", lineno)
             a, b = parts[1], parts[2]
             if a == b:
                 raise GraphParseError(f"loop at vertex {a!r}", lineno)
-            declare(a)
-            declare(b)
+            declare(a, lineno)
+            declare(b, lineno)
             edges.append((a, b))
         else:
             raise GraphParseError(f"unknown directive {parts[0]!r}", lineno)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .graph import (
@@ -218,7 +219,20 @@ def _check_assignments(unit_counts: Iterable[int]) -> None:
 
 
 def _sorted_partitions(g: SimplicialGraph, masks) -> list[Partition]:
-    parts = (_partition_from_masks(g, m1, m2, validate=False) for m1, m2 in masks)
+    """The partitions of enumerated (thick, canonical) side masks in key
+    order, built by bit operations with legal bases read once per split."""
+    full = (1 << 2 * g.n) - 1
+    positive = full // 3
+
+    @cache
+    def split_and_bases(letters: int) -> tuple[frozenset[int], frozenset[int]]:
+        split = frozenset(s >> 1 for s in mask_iter(letters))
+        return split, _compute_max(g, split)
+
+    parts = []
+    for m1, m2 in masks:
+        split, bases = split_and_bases((m1 & m2 >> 1 | m2 & m1 >> 1) & positive)
+        parts.append(Partition(m1, m2, full & ~(m1 | m2), split, bases))
     return sorted(parts, key=Partition.key)
 
 

@@ -28,7 +28,7 @@ from .compat import CompatibilityGraph
 from .conditions import is_spiky
 from .graph import mask_iter
 from .hugging import HugOracle
-from .search import clique_masks, max_compatible
+from .search import CapExceededError, _co_components, clique_masks, max_compatible
 
 
 class StructuralAssertionError(RuntimeError):
@@ -115,8 +115,18 @@ def build_star(cg: CompatibilityGraph, cap: int = 200000) -> StarComplex:
 
     ``cap`` bounds the number of compatible sets; beyond it the complex is
     considered out of the designed envelope and CapExceededError is raised.
+    A join's compatible sets are the unions of one clique per part, so its
+    cap is decided from the product of the parts' clique counts first.
     """
-    cliques = tuple(clique_masks(cg.adj, (1 << cg.n) - 1, cap=cap))
+    everyone = (1 << cg.n) - 1
+    parts = _co_components(cg.adj, everyone)
+    if len(parts) > 1:
+        total = 1
+        for part in parts:
+            total *= sum(1 for _ in clique_masks(cg.adj, part, cap=cap))
+            if total > cap:
+                raise CapExceededError(cap)
+    cliques = tuple(clique_masks(cg.adj, everyone, cap=cap))
     return StarComplex(
         cg=cg,
         cliques=cliques,

@@ -3,10 +3,11 @@
 M(W) is the size of a largest pairwise-compatible set of partitions that can
 all be based inside W.  The solver is a BBMC-style bitset branch-and-bound
 (San Segundo et al., 2011, over Tomita's MCS colouring bound): the nodes are
-renumbered once in reverse degeneracy order, and each search node peels
-greedy colour classes straight from its candidate bitset.  One search loop
-beats an incumbent (the size) or stops at a target (existence queries, which
-a second prefix-growing pass uses to pick the lexicographically least
+renumbered once in reverse degeneracy order (smallest-last; Matula & Beck,
+1983, with the remaining degrees held as bit planes), and each search node
+peels greedy colour classes straight from its candidate bitset.  One search
+loop beats an incumbent (the size) or stops at a target (existence queries,
+which a second prefix-growing pass uses to pick the lexicographically least
 maximum clique as witness).  No heuristics are ever reported as answers.
 
 Candidate sets often split as joins: every node of one co-component (a
@@ -53,20 +54,33 @@ class MaxSetResult:
 
 
 def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; ties broken by node id."""
-    alive = list(mask_iter(mask))
-    deg = [0] * mask.bit_length()
-    for v in alive:
-        deg[v] = (adj[v] & mask).bit_count()
+    """Repeatedly remove a minimum-degree vertex; ties broken by node id.
+
+    Plane k of the remaining degrees masks the nodes whose degree has bit k
+    set.  A removal decrements its neighbours by one borrow ripple over the
+    planes, and a scan from the top plane down keeps the least degrees.
+    """
+    degrees = [(v, (adj[v] & mask).bit_count()) for v in mask_iter(mask)]
+    planes = [0] * max((d for _, d in degrees), default=0).bit_length()
+    for v, d in degrees:
+        for k in mask_iter(d):
+            planes[k] |= 1 << v
     remaining = mask
     order = []
-    while alive:
-        v = min(alive, key=deg.__getitem__)
-        alive.remove(v)
+    while remaining:
+        least = remaining
+        for plane in reversed(planes):
+            if least & ~plane:
+                least &= ~plane
+        v = (least & -least).bit_length() - 1
         order.append(v)
         remaining ^= 1 << v
-        for u in mask_iter(adj[v] & remaining):
-            deg[u] -= 1
+        borrow = adj[v] & remaining
+        for k, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[k] = plane ^ borrow
+            borrow &= ~plane
     return order
 
 

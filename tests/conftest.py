@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from raagspine import compatibility_graph, families
+from raagspine import SimplicialGraph, compatibility_graph, families
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,15 @@ def small_fixture_graphs():
         "compatibility-example": families.compatibility_example_graph(),
         "condition1-counterexample": families.condition1_counterexample(),
     }
+
+
+def labelled_graphs(max_n=5):
+    """Every labelled graph on 1..max_n vertices (1,099 of them for 5)."""
+    for n in range(1, max_n + 1):
+        names = [f"x{k}" for k in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        for bits in range(1 << len(pairs)):
+            yield SimplicialGraph(names, [e for k, e in enumerate(pairs) if bits >> k & 1])
 
 
 def signed(g, name):

@@ -75,6 +75,13 @@ class TestAnalyze:
         proc = run_cli(["analyze", "--with-retraction", "--cap", "10", t2_file])
         assert proc.returncode == 3
 
+    def test_star_cap_of_a_join(self):
+        gen = run_cli(["gen", "--family", "delta"])
+        proc = run_cli(["analyze", "--with-retraction", "-"], stdin_text=gen.stdout)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: enumeration exceeded cap of 200000 sets\n"
+        assert proc.stdout == ""
+
     def test_too_many_side_assignments_exit_code(self):
         # edgeless(9) has 9 * (2^16 - 2) side assignments, past the bound
         gen = run_cli(["gen", "--family", "edgeless", "--n", "9"])
@@ -126,6 +133,14 @@ class TestPipelines:
 
 
 class TestSubcommands:
+    def test_package_runs_as_a_module(self):
+        args = ["gen", "--family", "rake", "--d", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "raagspine", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(args).stdout == graph_to_text(families.rake(2))
+
     def test_partitions_base(self, t2_file):
         proc = run_cli(["partitions", "--base", "u", "--json", t2_file])
         payload = json.loads(proc.stdout)
@@ -295,21 +310,36 @@ class TestRefusals:
         assert proc.stdout == "oversize: inconclusive (0 configurations)\n"
 
     @pytest.mark.parametrize(
-        "text, args",
+        "text, args, error",
         [
-            ("edge a,b c\nedge c d\n", ["max-set", "--vertices", "a,b"]),
+            (
+                "edge a,b c\nedge c d\n",
+                ["max-set", "--vertices", "a,b"],
+                "line 1: invalid vertex name: 'a,b'",
+            ),
             (
                 "edge x y\nedge y x^-1\nedge x^-1 z\nedge z w\n",
                 ["apply-aut", "--side", "x^-1,y", "--base", "x^-1"],
+                "line 2: invalid vertex name: 'x^-1'",
             ),
-            ("edge x y\nedge y x^-1\nedge x^-1 z\nedge z w\n", ["partitions"]),
+            (
+                "edge x y\nedge y x^-1\nedge x^-1 z\nedge z w\n",
+                ["partitions"],
+                "line 2: invalid vertex name: 'x^-1'",
+            ),
+            ("edge a b\nedge b c,d\n", ["partitions"], "line 2: invalid vertex name: 'c,d'"),
+            ("vertex a\nvertex e^-1\n", ["partitions"], "line 2: invalid vertex name: 'e^-1'"),
+            ("edge a b\nedge b #c\n", ["partitions"], "line 2: invalid vertex name: '#c'"),
         ],
-        ids=["comma", "apply-aut-inverse-marker", "partitions-inverse-marker"],
+        ids=[
+            "comma", "apply-aut-inverse-marker", "partitions-inverse-marker",
+            "edge-line", "vertex-line", "comment-marker",
+        ],
     )
-    def test_names_the_cli_cannot_address(self, text, args):
+    def test_names_the_cli_cannot_address(self, text, args, error):
         proc = run_cli([*args, "-"], stdin_text=text)
         self.assert_refused(proc)
-        assert "invalid vertex name" in proc.stderr
+        assert proc.stderr == f"error: {error}\n"
         assert proc.stdout == ""
 
     def test_gen_out_of_range_parameter(self):

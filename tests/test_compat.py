@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 
 import pytest
 
@@ -8,7 +7,7 @@ from raagspine import all_partitions, compat, families, is_adjacent, is_compatib
 from raagspine.compat import compatibility_graph
 from raagspine.graph import SimplicialGraph
 
-from conftest import doubled_names, find_partition, small_fixture_graphs
+from conftest import doubled_names, find_partition, labelled_graphs, small_fixture_graphs
 
 
 def fig_3_2_partitions():
@@ -193,21 +192,17 @@ class TestCompatibilityGraph:
         # side_a & side_a as their only empty quadrant, and each such pair is
         # adjacent: that quadrant alone never decides compatibility there.
         graphs = only_a_a = 0
-        for n in range(1, 6):
-            names = [f"x{k}" for k in range(n)]
-            pairs = list(itertools.combinations(names, 2))
-            for bits in range(1 << len(pairs)):
-                g = SimplicialGraph(names, [e for k, e in enumerate(pairs) if bits >> k & 1])
-                parts = all_partitions(g)
-                graphs += 1
-                for p in parts:
-                    for q in parts:
-                        if p.side_a & q.side_a or not (
-                            p.side_a & q.side_b and p.side_b & q.side_a and p.side_b & q.side_b
-                        ):
-                            continue
-                        only_a_a += 1
-                        assert is_adjacent(g, p, q)
+        for g in labelled_graphs(5):
+            parts = all_partitions(g)
+            graphs += 1
+            for p in parts:
+                for q in parts:
+                    if p.side_a & q.side_a or not (
+                        p.side_a & q.side_b and p.side_b & q.side_a and p.side_b & q.side_b
+                    ):
+                        continue
+                    only_a_a += 1
+                    assert is_adjacent(g, p, q)
         assert graphs == 1099 and only_a_a > 0
 
     @pytest.mark.parametrize(

@@ -265,8 +265,8 @@ class TestTextFormat:
         # inverse letter
         with pytest.raises(GraphError, match="invalid vertex name"):
             SimplicialGraph(["a", name], [])
-        with pytest.raises(GraphError, match="invalid vertex name"):
-            parse_graph(f"edge a {name}\n")
+        with pytest.raises(GraphParseError, match="^line 2: invalid vertex name"):
+            parse_graph(f"vertex a\nedge a {name}\n")
 
     def test_disconnected_warns_but_parses(self):
         g = parse_graph("vertex a\nvertex b\n")

@@ -10,9 +10,35 @@ from raagspine import (
     whitehead_images,
 )
 from raagspine.graph import mask_iter, sv_inverse
-from raagspine.partitions import CapExceededError, PartitionError, render_word
+from raagspine.partitions import (
+    CapExceededError,
+    Partition,
+    PartitionError,
+    _partition_from_masks,
+    _side_masks,
+    render_word,
+)
 
-from conftest import doubled_names, find_partition, signed, signed_set, small_fixture_graphs
+from conftest import (
+    doubled_names,
+    find_partition,
+    labelled_graphs,
+    signed,
+    signed_set,
+    small_fixture_graphs,
+)
+
+
+def reference_partitions(g, bases):
+    """The partitions based at the given vertices, each built and validated by
+    ``_partition_from_masks``, in key order."""
+    masks = {m for v in bases for m in _side_masks(v, g.partition_units(v))}
+    built = (_partition_from_masks(g, m1, m2, validate=True) for m1, m2 in masks)
+    return sorted(built, key=Partition.key)
+
+
+def fields(parts):
+    return [(p.side_a, p.side_b, p.link, p.split, p.max_bases, p.thick) for p in parts]
 
 
 def side_names(g, p, which=0):
@@ -80,6 +106,22 @@ class TestEnumeration:
             assert len(set(keys)) == len(keys)
             per_base = {p for v in range(g.n) for p in enumerate_partitions(g, v)}
             assert parts == sorted(per_base, key=lambda p: p.key())
+
+    def test_bit_construction_matches_validated_reference(self):
+        # every labelled graph on at most 5 vertices and every named fixture
+        named = [
+            *small_fixture_graphs().values(),
+            families.delta(),
+            families.partition_example_graph(),
+            families.condition2_counterexample(),
+        ]
+        graphs = 0
+        for g in [*labelled_graphs(5), *named]:
+            graphs += 1
+            assert fields(all_partitions(g)) == fields(reference_partitions(g, range(g.n)))
+            for v in range(g.n):
+                assert fields(enumerate_partitions(g, v)) == fields(reference_partitions(g, [v]))
+        assert graphs == 1099 + len(named)
 
     def test_edgeless_counts(self):
         assert len(all_partitions(families.edgeless(3))) == 22

@@ -13,8 +13,9 @@ from raagspine import (
 )
 from raagspine.graph import SimplicialGraph, mask_iter
 from raagspine.hugging import HugOracle
+from raagspine import retraction
 from raagspine.retraction import StructuralAssertionError, _submasks
-from raagspine.search import CapExceededError
+from raagspine.search import CapExceededError, _co_components, clique_masks
 
 
 def ids(mask):
@@ -197,6 +198,34 @@ class TestBuildStar:
     def test_cap_exceeded(self, cg_cache):
         with pytest.raises(CapExceededError):
             build_star(cg_cache(families.rake(2)), cap=100)
+
+    def test_join_cap_is_the_product_of_the_parts(self, cg_cache):
+        # rake(2) is the join of two parts with 51 and 75 cliques, the empty
+        # one included, so it has 51 * 75 = 3,825 compatible sets
+        cg = cg_cache(families.rake(2))
+        parts = _co_components(cg.adj, (1 << cg.n) - 1)
+        assert [sum(1 for _ in clique_masks(cg.adj, p)) for p in parts] == [51, 75]
+        assert len(build_star(cg, cap=3825).cliques) == 3825
+        with pytest.raises(CapExceededError) as err:
+            build_star(cg, cap=3824)
+        assert str(err.value) == "enumeration exceeded cap of 3824 sets"
+
+    def test_join_over_the_cap_enumerates_only_its_parts(self, cg_cache, monkeypatch):
+        # delta's parts have 26,475 and 32,835 cliques; the whole is never
+        # enumerated, which would take 200,001 yields to refuse
+        yields = 0
+
+        def counting(*args, **kwargs):
+            nonlocal yields
+            for mask in clique_masks(*args, **kwargs):
+                yields += 1
+                yield mask
+
+        monkeypatch.setattr(retraction, "clique_masks", counting)
+        with pytest.raises(CapExceededError) as err:
+            build_star(cg_cache(families.delta()))
+        assert str(err.value) == "enumeration exceeded cap of 200000 sets"
+        assert yields < 60000
 
     def test_euler_characteristic_one(self, cg_cache):
         for g in (families.rake(1), families.rake(2), families.edgeless(3)):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -212,6 +213,28 @@ class TestSolverProperties:
             for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
                 mask = based_mask(cg, wanted)
                 assert _degeneracy_order(adj, mask) == reference_degeneracy_order(adj, mask)
+
+    def test_degeneracy_order_with_many_degree_planes(self, cg_cache):
+        # the rake(5) v part and the Condition-2 part have degrees of 9-10 bits
+        rake5 = cg_cache(families.rake(5))
+        v_mask = based_mask(rake5, vertex_ids(rake5.graph, ["v"]))
+        cond2 = cg_cache(families.condition2_counterexample())
+        cases = [
+            (rake5, max(_co_components(rake5.adj, v_mask), key=int.bit_count), 1022),
+            (cond2, (1 << cond2.n) - 1, 580),
+        ]
+        for cg, part, size in cases:
+            assert part.bit_count() == size and _co_components(cg.adj, part) == [part]
+            assert _degeneracy_order(cg.adj, part) == reference_degeneracy_order(cg.adj, part)
+
+    def test_degeneracy_order_on_submasks(self, cg_cache):
+        rng = random.Random(20111)
+        for g in (families.delta(), families.edgeless(5)):
+            cg = cg_cache(g)
+            masks = [0, *(1 << v for v in range(cg.n))]
+            masks += [rng.getrandbits(cg.n) for _ in range(40)]
+            for mask in masks:
+                assert _degeneracy_order(cg.adj, mask) == reference_degeneracy_order(cg.adj, mask)
 
 
 class TestJoinSplit:
