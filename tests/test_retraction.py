@@ -10,10 +10,10 @@ from raagspine import (
     crosscheck_survivors,
     families,
     retract,
+    retraction,
 )
 from raagspine.graph import SimplicialGraph, mask_iter
 from raagspine.hugging import HugOracle
-from raagspine import retraction
 from raagspine.retraction import StructuralAssertionError, _submasks
 from raagspine.search import CapExceededError, _co_components, clique_masks
 
