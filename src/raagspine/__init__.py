@@ -37,7 +37,6 @@ from .hugging import (
     HugOracle,
     HugWitness,
     cube_survives,
-    hug_candidates,
     is_hugged_in,
     verify_hug_compat,
     verify_oversize_hugged,
@@ -81,7 +80,6 @@ __all__ = [
     "enumerate_compatible_sets",
     "enumerate_partitions",
     "graph_to_text",
-    "hug_candidates",
     "is_adjacent",
     "is_barbed",
     "is_compatible",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze, partitions, max-set, conditions, retract, verify,
-apply-aut, gen.  Graph files use the line-oriented text format; ``-`` reads
-the graph from stdin.  Exit codes: 0 success, 2 parse or usage error, 3 cap
-exceeded.  All JSON output carries a schema_version field.
+apply-aut, gen.  Graph files use the line-oriented text format in UTF-8;
+``-`` reads the graph from stdin.  Exit codes: 0 success, 2 parse or usage
+error, 3 cap exceeded.  All JSON output carries a schema_version field.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from . import families
 from .compat import compatibility_graph
 from .conditions import condition_report, is_spiky
-from .graph import GraphError, SimplicialGraph, graph_to_text, mask_iter, parse_graph
+from .graph import GraphError, GraphParseError, SimplicialGraph, graph_to_text, mask_iter, parse_graph
 from .hugging import (
     HugError,
     verify_hug_compat,
@@ -37,7 +37,12 @@ logger = logging.getLogger("raagspine")
 
 
 def _read_graph(path: str) -> SimplicialGraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphParseError("graph text is not valid UTF-8", line) from None
     return parse_graph(text)
 
 

@@ -73,9 +73,10 @@ class CompatibilityGraph:
         return len(self.nodes)
 
     @cached_property
-    def node_of(self) -> dict[Partition, int]:
-        """The node id of each partition."""
-        return {p: i for i, p in enumerate(self.nodes)}
+    def node_of(self) -> dict[tuple[int, int], int]:
+        """The node id of each partition, keyed by its canonical side masks
+        ``Partition.sides()``."""
+        return {p.sides(): i for i, p in enumerate(self.nodes)}
 
     @cached_property
     def principal_mask(self) -> int:

@@ -10,12 +10,13 @@ on that side) can be distributed between two prospective sides
 
 and the resulting partitions hug q: both sides sit inside Q and the
 complements intersect exactly in the other side of q.  A distribution with an
-empty half gives one thin "almost"-partition, which is ignored; q is then
-1-hugged by the remaining valid one.  q is hugged *in* a compatible set when
-the hugging partitions can be found among its members.
+empty half gives one thin side, the lone letter m or m^-1, which is ignored;
+q is then 1-hugged by the remaining partition.  q is hugged *in* a compatible
+set when the hugging partitions can be found among its members.
 
 ``hug_configs`` is the one construction of this relation: it tabulates, once
-per node, every configuration of huggers in the compatibility graph.
+per node, every configuration of huggers in the compatibility graph, built
+from side masks and looked up by them in ``CompatibilityGraph.node_of``.
 ``is_hugged_in`` (and through it the retraction's ``HugOracle``) is the one
 lookup: the first configuration whose hugger mask lies in a compatible
 member set.  The brute-force verifiers iterate the table.  The dominator m
@@ -30,7 +31,7 @@ from typing import Iterable, Optional
 
 from .compat import CompatibilityGraph
 from .graph import SimplicialGraph, mask_iter, sv_neg, sv_pos
-from .partitions import Partition, _partition_from_masks
+from .partitions import Partition, _canonical
 from .search import clique_masks, max_compatible
 
 
@@ -54,13 +55,8 @@ class HugWitness:
 
     def hugger_sides(self) -> tuple[int, int]:
         """Reconstruct (P1, P2) side masks from (m, C1, C2)."""
-        p1 = 1 << sv_pos(self.base_m)
-        for u in self.comp_split[0]:
-            p1 |= u
-        p2 = 1 << sv_neg(self.base_m)
-        for u in self.comp_split[1]:
-            p2 |= u
-        return p1, p2
+        c1, c2 = self.comp_split
+        return 1 << sv_pos(self.base_m) | sum(c1), 1 << sv_neg(self.base_m) | sum(c2)
 
 
 def hug_context(g: SimplicialGraph, q: Partition, u: int, m: int):
@@ -81,46 +77,16 @@ def hug_context(g: SimplicialGraph, q: Partition, u: int, m: int):
     return side_q, units_in_q
 
 
-def hug_candidates(
-    g: SimplicialGraph, q: Partition, m: int
-) -> list[tuple[Partition, Partition]]:
-    """All ordered distributions (P1, P2) for hugging q with base m.
-
-    Members with an empty half come back thin (``thick`` False); a pair with
-    one thin member is a 1-hug candidate.  2^k pairs for k units inside Q,
-    bit i of the pair's index putting unit i into P1.
-    """
-    cls = g.classify_vertices()
-    if q.max_bases & cls.principal:
-        raise HugError("hugging targets a non-principal partition")
-    u = min(q.max_bases)
-    _, units = hug_context(g, q, u, m)
-    rest = ((1 << (2 * g.n)) - 1) & ~g.link_mask(m)
-    pairs = []
-    for bits in range(1 << len(units)):
-        p1 = 1 << sv_pos(m)
-        p2 = 1 << sv_neg(m)
-        for i, mu in enumerate(units):
-            if bits >> i & 1:
-                p1 |= mu
-            else:
-                p2 |= mu
-        pairs.append(
-            tuple(
-                _partition_from_masks(g, side, rest & ~side, validate=False)
-                for side in (p1, p2)
-            )
-        )
-    return pairs
-
-
 def hug_configs(cg: CompatibilityGraph, q_id: int) -> tuple[HugWitness, ...]:
     """Every way the graph's partitions can hug node q_id.
 
-    One witness per distribution of ``hug_candidates``, for each legal base u
-    of q and each dominator m of u in id order, so a configuration repeats
-    once per legal base.  A thin half is dropped, leaving a one-hug.  Built
-    on first use and memoised on ``cg`` per node.
+    For each legal base u of q and each dominator m of u in id order, one
+    witness per distribution of the units of ``hug_context`` (2^k of them for
+    k units, bit i of the index putting unit i into C1), so a configuration
+    repeats once per legal base.  Each non-empty half gives a hugger side,
+    found in ``cg.node_of`` by its side masks; an empty half leaves the thin
+    side {m^±1} and is dropped, leaving a one-hug.  Built on first use and
+    memoised on ``cg`` per node.
     """
     if q_id not in cg._hug_configs:
         cg._hug_configs[q_id] = tuple(_build_configs(cg, q_id))
@@ -131,31 +97,35 @@ def _build_configs(cg: CompatibilityGraph, q_id: int):
     g = cg.graph
     q = cg.nodes[q_id]
     cls = g.classify_vertices()
+    full = (1 << 2 * g.n) - 1
     for u in sorted(q.max_bases):
         for m in sorted(cls.dominators[u]):
             side_q, units = hug_context(g, q, u, m)
-            for p1, p2 in hug_candidates(g, q, m):
-                huggers = tuple(cg.node_of.get(p) for p in (p1, p2) if p.thick)
-                if any(j is None or m not in cg.bases[j] for j in huggers):
-                    raise RuntimeError(
-                        "hug construction produced a partition that is not "
-                        "a node based at the dominator"
+            rest = full & ~g.link_mask(m)
+            for bits in range(1 << len(units)):
+                c1 = tuple(mu for i, mu in enumerate(units) if bits >> i & 1)
+                c2 = tuple(mu for i, mu in enumerate(units) if not bits >> i & 1)
+                huggers = []
+                for letter, half in zip((sv_pos(m), sv_neg(m)), (c1, c2)):
+                    if not half:
+                        continue  # the side is the lone letter m^±1: thin
+                    side = 1 << letter | sum(half)  # units are disjoint
+                    j = cg.node_of.get(_canonical(side, rest & ~side))
+                    if j is None or m not in cg.bases[j]:
+                        raise RuntimeError(
+                            "hug construction produced a partition that is not "
+                            "a node based at the dominator"
+                        )
+                    huggers.append(j)
+                if huggers:
+                    yield HugWitness(
+                        kind="two-hug" if len(huggers) == 2 else "one-hug",
+                        base_m=m,
+                        base_u=u,
+                        hugged_side=side_q,
+                        comp_split=(c1, c2),
+                        huggers=tuple(huggers),
                     )
-                if not huggers:
-                    continue
-                c1 = p1.side_of(sv_pos(m)) & ~(1 << sv_pos(m))
-                c2 = p2.side_of(sv_neg(m)) & ~(1 << sv_neg(m))
-                yield HugWitness(
-                    kind="two-hug" if len(huggers) == 2 else "one-hug",
-                    base_m=m,
-                    base_u=u,
-                    hugged_side=side_q,
-                    comp_split=(
-                        tuple(mu for mu in units if mu & c1),
-                        tuple(mu for mu in units if mu & c2),
-                    ),
-                    huggers=huggers,
-                )
 
 
 def is_hugged_in(

@@ -66,8 +66,6 @@ class Partition:
     ``side_a`` is the side whose sorted signed-id tuple is lexicographically
     smaller, so equal partitions compare equal.  ``max_bases`` holds every
     legal base vertex; ``split`` the vertices separated from their inverses.
-    ``thick`` is False only for the relaxed almost-partitions used while
-    reasoning about hugging; enumeration never emits those.
     """
 
     side_a: int
@@ -75,7 +73,6 @@ class Partition:
     link: int
     split: frozenset[int]
     max_bases: frozenset[int]
-    thick: bool = True
 
     def sides(self) -> tuple[int, int]:
         return (self.side_a, self.side_b)
@@ -152,42 +149,36 @@ def make_partition(
     m2 = 0
     for s in side2:
         m2 |= 1 << s
-    return _partition_from_masks(g, m1, m2, validate=True)
+    return _partition_from_masks(g, m1, m2)
 
 
-def _partition_from_masks(
-    g: SimplicialGraph, m1: int, m2: int, *, validate: bool = True
-) -> Partition:
+def _partition_from_masks(g: SimplicialGraph, m1: int, m2: int) -> Partition:
     full = (1 << (2 * g.n)) - 1
     if m1 & m2:
         raise PartitionError("sides overlap")
     link = full & ~(m1 | m2)
     split = _compute_split(g, m1, m2)
     max_bases = _compute_max(g, split)
-    thick = bin(m1).count("1") >= 2 and bin(m2).count("1") >= 2
-    if validate:
-        if not split:
-            raise PartitionError("no vertex is split; the partition has no base")
-        if not thick:
-            raise PartitionError("thin side: each side needs at least two elements")
-        for m in max_bases:
-            if link != g.link_mask(m):
-                raise PartitionError(
-                    f"link block is not the doubled link of base {g.names[m]}"
-                )
-        base = min(max_bases)
-        for comp in g.components_minus_star(base):
-            if len(comp) < 2:
-                continue
-            dbl = doubled(comp)
-            if dbl & m1 != dbl and dbl & m2 != dbl:
-                raise PartitionError(
-                    "a component of the graph minus the base star is split across sides"
-                )
+    if not split:
+        raise PartitionError("no vertex is split; the partition has no base")
+    if m1.bit_count() < 2 or m2.bit_count() < 2:
+        raise PartitionError("thin side: each side needs at least two elements")
+    for m in max_bases:
+        if link != g.link_mask(m):
+            raise PartitionError(
+                f"link block is not the doubled link of base {g.names[m]}"
+            )
+    base = min(max_bases)
+    for comp in g.components_minus_star(base):
+        if len(comp) < 2:
+            continue
+        dbl = doubled(comp)
+        if dbl & m1 != dbl and dbl & m2 != dbl:
+            raise PartitionError(
+                "a component of the graph minus the base star is split across sides"
+            )
     m1, m2 = _canonical(m1, m2)
-    return Partition(
-        side_a=m1, side_b=m2, link=link, split=split, max_bases=max_bases, thick=thick
-    )
+    return Partition(side_a=m1, side_b=m2, link=link, split=split, max_bases=max_bases)
 
 
 def _side_masks(base: int, units: list[int]):
@@ -281,7 +272,7 @@ def whitehead_images(
     m = sv_vertex(base)
     if m not in p.max_bases:
         raise PartitionError(f"{g.names[m]} is not a legal base of this partition")
-    if not p.thick:
+    if p.side_a.bit_count() < 2 or p.side_b.bit_count() < 2:
         raise PartitionError("automorphism images need a thick partition")
     s_pos = p.side_of(sv_pos(m))
     b = base

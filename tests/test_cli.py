@@ -303,6 +303,23 @@ class TestRefusals:
         self.assert_refused(proc)
         assert "--budget" in proc.stderr and proc.stdout == ""
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"edge a b\nvertex caf\xe9\n")
+        proc = run_cli(["partitions", str(path)])
+        self.assert_refused(proc)
+        assert proc.stderr == "error: line 2: graph text is not valid UTF-8\n"
+        assert proc.stdout == ""
+
+    def test_non_utf8_stdin(self):
+        # run_cli sends text, so the bytes go through subprocess directly
+        cmd = [sys.executable, "-m", "raagspine.cli", "partitions", "-"]
+        data = b"edge a b\nvertex caf\xe9\n"
+        proc = subprocess.run(cmd, input=data, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: line 2: graph text is not valid UTF-8\n"
+        assert proc.stdout == b""
+
     def test_zero_cap_and_budget_keep_their_meaning(self, t2_file):
         assert run_cli(["retract", "--cap", "0", t2_file]).returncode == 3
         proc = run_cli(["verify", "--lemma", "oversize", "--budget", "0", t2_file])

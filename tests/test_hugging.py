@@ -8,7 +8,6 @@ from raagspine import (
     compatibility_graph,
     cube_survives,
     families,
-    hug_candidates,
     is_hugged_in,
     max_compatible,
     verify_hug_compat,
@@ -21,7 +20,6 @@ from raagspine.search import clique_masks
 
 from conftest import (
     doubled_names,
-    find_partition,
     node_id,
     signed_set,
     small_fixture_graphs,
@@ -38,58 +36,112 @@ def rake3_q(cg):
     return node_id(cg, ["u"] + doubled_names(["a1", "b1", "a2", "b2"]))
 
 
-class TestHugCandidates:
+def configs_by_m(cg, q_id, m_name):
+    m = cg.graph.vertex_id(m_name)
+    return [w for w in hug_configs(cg, q_id) if w.base_m == m]
+
+
+def side_is(g, mask, names):
+    return frozenset(mask_iter(mask)) == signed_set(g, names)
+
+
+class TestHugConfigs:
     def test_one_hug_configuration(self, rake3_cg):
         cg = rake3_cg
         g = cg.graph
-        q = cg.nodes[rake3_q(cg)]
-        pairs = hug_candidates(g, q, g.vertex_id("a2"))
+        configs = configs_by_m(cg, rake3_q(cg), "a2")
         # two units of a2 sit inside the hugged side, so four ordered splits
-        assert len(pairs) == 4
-        want = signed_set(g, ["a2", "u"] + doubled_names(["a1", "b1"]))
+        assert len(configs) == 4
+        want = ["a2", "u"] + doubled_names(["a1", "b1"])
         assert any(
-            not p2.thick
-            and any(frozenset(mask_iter(s)) == want for s in p1.sides())
-            for p1, p2 in pairs
+            w.kind == "one-hug"
+            and not w.comp_split[1]
+            and side_is(g, w.hugger_sides()[0], want)
+            and any(side_is(g, s, want) for s in cg.nodes[w.huggers[0]].sides())
+            for w in configs
         )
 
     def test_two_hug_configuration(self, rake3_cg):
         cg = rake3_cg
         g = cg.graph
-        q = cg.nodes[rake3_q(cg)]
-        pairs = hug_candidates(g, q, g.vertex_id("a1"))
-        p1_want = signed_set(g, ["a1", "u"])
-        p2_want = signed_set(g, ["a1^-1"] + doubled_names(["a2", "b2"]))
+        p1_want = ["a1", "u"]
+        p2_want = ["a1^-1"] + doubled_names(["a2", "b2"])
         hit = [
-            (p1, p2)
-            for p1, p2 in pairs
-            if p1.thick
-            and p2.thick
-            and any(frozenset(mask_iter(s)) == p1_want for s in p1.sides())
-            and any(frozenset(mask_iter(s)) == p2_want for s in p2.sides())
+            w
+            for w in configs_by_m(cg, rake3_q(cg), "a1")
+            if w.kind == "two-hug"
+            and side_is(g, w.hugger_sides()[0], p1_want)
+            and side_is(g, w.hugger_sides()[1], p2_want)
         ]
         assert len(hit) == 1
+        assert hit[0].huggers == (node_id(cg, p1_want), node_id(cg, p2_want))
 
     def test_split_count_is_power_of_two(self, rake3_cg):
         cg = rake3_cg
-        g = cg.graph
-        q = cg.nodes[rake3_q(cg)]
+        q_id = rake3_q(cg)
         for m_name, k in (("a1", 2), ("a2", 2), ("a3", 1)):
-            assert len(hug_candidates(g, q, g.vertex_id(m_name))) == 2 ** k
+            assert len(configs_by_m(cg, q_id, m_name)) == 2 ** k
 
     def test_non_dominator_rejected(self, rake3_cg):
         cg = rake3_cg
         g = cg.graph
         q = cg.nodes[rake3_q(cg)]
         with pytest.raises(HugError):
-            hug_candidates(g, q, g.vertex_id("v"))
+            hug_context(g, q, min(q.max_bases), g.vertex_id("v"))
 
-    def test_principal_target_rejected(self, rake3_cg):
-        cg = rake3_cg
+    # total configurations and one-hugs over the non-principal nodes
+    TABLE_SIZES = {
+        "rake2": (8, 8),
+        "rake3": (60, 36),
+        "compatibility-example": (40, 24),
+        "condition1-counterexample": (660, 132),
+        "delta": (104, 24),
+        "rake4": (304, 112),
+        "condition2-counterexample": (2060, 156),
+    }
+    GRAPHS = {
+        **small_fixture_graphs(),
+        "delta": families.delta(),
+        "rake4": families.rake(4),
+        "condition2-counterexample": families.condition2_counterexample(),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_table_soundness(self, cg_cache, name):
+        cg = cg_cache(self.GRAPHS[name])
         g = cg.graph
-        p = find_partition(g, cg.nodes, ["a1", "u"])
-        with pytest.raises(HugError):
-            hug_candidates(g, p, g.vertex_id("a2"))
+        cls = g.classify_vertices()
+        full = (1 << 2 * g.n) - 1
+        total = one_hugs = 0
+        for q_id in range(cg.n):
+            if cg.principal[q_id]:
+                continue
+            q = cg.nodes[q_id]
+            configs = hug_configs(cg, q_id)
+            # 2^k configurations per (u, m) group, for k units of m in Q
+            want = []
+            for u in sorted(q.max_bases):
+                for m in sorted(cls.dominators[u]):
+                    want += [(u, m)] * 2 ** len(hug_context(g, q, u, m)[1])
+            assert [(w.base_u, w.base_m) for w in configs] == want
+            for w in configs:
+                c1, c2 = w.comp_split
+                assert (w.kind == "one-hug") == (not c1 or not c2)
+                for j in w.huggers:
+                    assert w.base_m in cg.bases[j]
+                    assert cg.node_of[cg.nodes[j].sides()] == j
+                p1, p2 = w.hugger_sides()
+                assert not (p1 | p2) & ~w.hugged_side
+                rest = full & ~g.link_mask(w.base_m)
+                assert rest & ~p1 & ~p2 == q.other_side(w.hugged_side)
+                thick = [s for s in (p1, p2) if s.bit_count() >= 2]
+                assert len(thick) == len(w.huggers)
+                for side, j in zip(thick, w.huggers):
+                    assert side in cg.nodes[j].sides()
+            total += len(configs)
+            one_hugs += sum(w.kind == "one-hug" for w in configs)
+        if name in self.TABLE_SIZES:
+            assert (total, one_hugs) == self.TABLE_SIZES[name]
 
 
 class TestIsHuggedIn:

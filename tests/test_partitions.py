@@ -33,12 +33,12 @@ def reference_partitions(g, bases):
     """The partitions based at the given vertices, each built and validated by
     ``_partition_from_masks``, in key order."""
     masks = {m for v in bases for m in _side_masks(v, g.partition_units(v))}
-    built = (_partition_from_masks(g, m1, m2, validate=True) for m1, m2 in masks)
+    built = (_partition_from_masks(g, m1, m2) for m1, m2 in masks)
     return sorted(built, key=Partition.key)
 
 
 def fields(parts):
-    return [(p.side_a, p.side_b, p.link, p.split, p.max_bases, p.thick) for p in parts]
+    return [(p.side_a, p.side_b, p.link, p.split, p.max_bases) for p in parts]
 
 
 def side_names(g, p, which=0):
@@ -164,7 +164,7 @@ class TestInvariants:
                 assert not p.side_a & p.side_b
                 assert not p.side_a & p.link
                 assert not p.side_b & p.link
-                assert p.thick
+                assert p.side_a.bit_count() >= 2 and p.side_b.bit_count() >= 2
 
     def test_max_bases_share_link(self):
         for g in small_fixture_graphs().values():
@@ -276,6 +276,24 @@ class TestWhiteheadImages:
         p = find_partition(t2, all_partitions(t2), ["a1", "u"])
         with pytest.raises(PartitionError):
             whitehead_images(t2, p, signed(t2, "v"))
+
+    def test_thin_partition_rejected(self):
+        # the sides of test_thin_constructor_flagged, built by hand with a1
+        # as its legal base: side_a is the lone letter a1
+        g = families.rake(1)
+        side_a = signed_set(g, ["a1"])
+        side_b = signed_set(g, ["a1^-1", "u", "u^-1"])
+        a1 = frozenset({g.vertex_id("a1")})
+        full = (1 << 2 * g.n) - 1
+        thin = Partition(
+            side_a=sum(1 << s for s in side_a),
+            side_b=sum(1 << s for s in side_b),
+            link=full & ~sum(1 << s for s in side_a | side_b),
+            split=a1,
+            max_bases=a1,
+        )
+        with pytest.raises(PartitionError, match="thick"):
+            whitehead_images(g, thin, signed(g, "a1"))
 
 
 def invert_letters(mask, v):
