@@ -20,8 +20,6 @@ from .compat import CompatibilityGraph, compatibility_graph, is_adjacent, is_com
 from .search import (
     CapExceededError,
     MaxSetResult,
-    enumerate_compatible_sets,
-    is_inextendible,
     max_compatible,
 )
 from .conditions import (
@@ -36,7 +34,6 @@ from .conditions import (
 from .hugging import (
     HugOracle,
     HugWitness,
-    cube_survives,
     is_hugged_in,
     verify_hug_compat,
     verify_oversize_hugged,
@@ -76,15 +73,12 @@ __all__ = [
     "complex_stats",
     "condition_report",
     "crosscheck_survivors",
-    "cube_survives",
-    "enumerate_compatible_sets",
     "enumerate_partitions",
     "graph_to_text",
     "is_adjacent",
     "is_barbed",
     "is_compatible",
     "is_hugged_in",
-    "is_inextendible",
     "is_spiky",
     "make_partition",
     "max_compatible",

@@ -323,7 +323,9 @@ def parse_graph(text: str) -> SimplicialGraph:
 
     Lines: ``# comment``, ``vertex <name>``, ``edge <name> <name>``.  Vertices
     may be declared implicitly by first use in an edge line.  Blank lines are
-    ignored.  Errors report 1-based line numbers.
+    ignored.  Lines end at ``\n`` only, so a stray form feed or Unicode line
+    separator neither splits a line nor shifts the numbers; a trailing ``\r``
+    is stripped.  Errors report 1-based line numbers.
     """
     names: list[str] = []
     seen: set[str] = set()
@@ -336,7 +338,7 @@ def parse_graph(text: str) -> SimplicialGraph:
             seen.add(name)
             names.append(name)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

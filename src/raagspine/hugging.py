@@ -203,20 +203,6 @@ class HugOracle:
         return not self.hugged_mask(upper) & ~lower and not self.extendable_by_hugged(upper)
 
 
-def cube_survives(
-    cg: CompatibilityGraph, lower: Iterable[int], upper: Iterable[int]
-) -> bool:
-    """Survivor predicate for the cube (lower, upper): ``HugOracle.survives``
-    after checking that lower ⊆ upper and that upper is compatible."""
-    lower_mask = cg.members_mask(lower)
-    upper_mask = cg.members_mask(upper)
-    if lower_mask & ~upper_mask:
-        raise HugError("lower set is not contained in upper set")
-    if not cg.is_clique(mask_iter(upper_mask)):
-        raise HugError("upper set is not pairwise compatible")
-    return HugOracle(cg).survives(lower_mask, upper_mask)
-
-
 # -- finite verification of the key statements -------------------------
 
 

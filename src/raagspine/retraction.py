@@ -5,12 +5,13 @@ lower ⊆ upper; the dimension is |upper \\ lower|.  The full star is face
 closed: every (A, B) with lower ⊆ A ⊆ B ⊆ upper of a member is a member.
 
 The retraction sweeps cubes in ascending (b, t, p) order, where b = |lower|,
-t = M(V) - |upper| and p = M(L) - #principal members of upper.  For a cube
-whose upper set contains hugged non-principal partitions outside the lower
-set (the set H), the face (lower, upper \\ H) must be free at that moment:
-every present cube containing it is a face of the processed cube.  Freeness
-is audited at each event, never assumed; pushing in along the face removes
-exactly the cubes between (lower, upper \\ H) and (lower, upper).
+t = M(V) - |upper| and p = M(L) - #principal members of upper.  Each event is
+one elementary collapse of a cube from a face: the face must be free at that
+moment (every present cube containing it lies between it and the cube), which
+is audited at each event, never assumed, and pushing in along the face removes
+exactly the cubes between the two.  The face drops the hugged members of the
+upper set outside the lower set, or, in a cleanup phase, adds the least
+non-hugged member to the lower set.
 
 Markings are ignored throughout: the group action only changes markings, so
 one copy of the star carries the combinatorial content.
@@ -182,29 +183,31 @@ def retract(
     Cubes are processed in ascending (b, t, p) order, ties broken by the
     lexicographic order of (lower, upper) member ids.  Only cubes whose upper
     set has hugged members outside the lower set are swept: the hugged mask
-    depends on the upper set alone, and for every other cube both the
-    collapse and the pair-down return before touching the complex, so the
-    events are the same as a sweep over every cube.  A cube whose upper set
-    contains hugged members outside the lower set yields a collapse along the
-    face that drops them, but only after the free-face condition is verified
-    against the current complex; a cube whose designated face has cofaces
-    outside it is left alone and retried on the next sweep, and sweeps repeat
-    until no event fires; after each sweep the removed cubes leave the order,
-    so the next sweep visits only the cubes still present.  An audit reads
-    only the codimension-1 cofaces of the face (enough, as the present cubes
-    stay face closed), and a blocked cube remembers the coface blocking it.
-    Blocked cubes that remain blocked at the fixpoint are reported in the
-    trace, beside the set of removed cubes, which is the only record of the
-    complex: the final f-vector is the star's closed form minus theirs.  (There are graphs, the
-    2-rake among them, where a designated face is a face of a cube that
-    genuinely survives, so a fully literal single sweep cannot complete; see
-    the README.)
+    depends on the upper set alone, and no other cube has a face to collapse
+    from, so the events are the same as a sweep over every cube.
 
-    ``strict_schedule`` raises a StructuralAssertionError at the first
-    blocked event instead, reproducing the single-sweep schedule literally.
-    Requires a spiky graph unless ``warn_and_proceed`` is set.  ``tie_break``
-    overrides the order within one (b, t, p) batch (used by the
-    order-insensitivity audit).
+    Every event is the one audited elementary collapse: the face must be
+    present, every present codimension-1 coface of it must lie between it
+    and the cube (enough, as the present cubes stay face closed), and then
+    exactly the cubes between the two are removed.  The schedule only
+    chooses the face.  It first drops the hugged members from the upper set;
+    sweeps repeat until no event fires, and a blocked cube is retried on the
+    next sweep, remembering the coface that blocked it.  A cleanup phase
+    then sweeps again, pairing a cube whose hugged members still cannot be
+    dropped with the face that adds its least non-hugged member to the lower
+    set.  After each sweep the removed cubes leave the order, so the next
+    sweep visits only the cubes still present.  Cubes still blocked at the
+    fixpoint are reported in the trace, beside the set of removed cubes,
+    which is the only record of the complex: the final f-vector is the
+    star's closed form minus theirs.  (There are graphs, the 2-rake among
+    them, where a dropping face is a face of a cube that genuinely survives,
+    so a fully literal single sweep cannot complete; see the README.)
+
+    ``strict_schedule`` runs the dropping sweep alone and raises a
+    StructuralAssertionError at the first blocked event, reproducing the
+    single-sweep schedule literally.  Requires a spiky graph unless
+    ``warn_and_proceed`` is set.  ``tie_break`` overrides the order within
+    one (b, t, p) batch (used by the order-insensitivity audit).
     """
     cg = star.cg
     spiky = is_spiky(cg.graph)
@@ -239,107 +242,85 @@ def retract(
     order.sort(key=sort_key)
     removed: set[tuple[int, int]] = set()
     events: list[CollapseEvent] = []
-    # a blocked cube's blocker answers its next audit while present (removed
-    # only grows); the entry is dropped once the cube is removed
+    # a blocked cube remembers the blocker of its drop-hugged face, which
+    # every sweep re-audits; while present (removed only grows) it answers the
+    # next audit, and the entry is dropped once the cube is removed
     blockers: dict[tuple[int, int], tuple[int, int]] = {}
     extensions = cache(cg.extensions)  # few distinct faces, many audits
 
-    def blocker(lower: int, upper: int, keep_lower: int, keep_upper: int):
-        """A present codimension-1 coface (lower - x, upper) with x outside
-        keep_lower, or (lower, upper + y) with y in extensions(upper) outside
-        keep_upper; None if there is none."""
-        for x in mask_iter(lower & ~keep_lower):
+    def blocker(lower: int, upper: int, span: int):
+        """A present codimension-1 coface (lower - x, upper) or
+        (lower, upper + y) with y in extensions(upper), for x and y outside
+        span; None if there is none."""
+        for x in mask_iter(lower & ~span):
             if (lower & ~(1 << x), upper) not in removed:
                 return (lower & ~(1 << x), upper)
-        for y in mask_iter(extensions(upper) & ~keep_upper):
+        for y in mask_iter(extensions(upper) & ~span):
             if (lower, upper | 1 << y) not in removed:
                 return (lower, upper | 1 << y)
         return None
 
-    def attempt(cube: tuple[int, int]) -> bool:
-        """Try one collapse event; True when the cube was collapsed."""
-        if cube in removed:
-            return False
+    def collapse(cube: tuple[int, int], face: tuple[int, int], hugged: int, kind: str) -> bool:
+        """The elementary collapse of cube from its face: audit that every
+        present codimension-1 coface of the face lies between the two, then
+        remove exactly the cubes between them and record the event.  False
+        when a coface outside blocks it."""
         lower, upper = cube
-        hugged = oracle.hugged_mask(upper) & (upper & ~lower)
-        face_upper = upper & ~hugged
-        face = (lower, face_upper)
+        face_lower, face_upper = face
         if face in removed:
             raise StructuralAssertionError(
                 "free face is absent although its cofaces are present", cube, face
             )
-        found = blockers.get(cube)
+        span = face_lower & ~lower | upper & ~face_upper  # members from face to cube
+        remember = kind == "drop-hugged"
+        found = blockers.get(cube) if remember else None
         if found is None or found in removed:
-            found = blocker(lower, face_upper, 0, hugged)
+            found = blocker(face_lower, face_upper, span)
         if found is not None:
             if strict_schedule:
                 raise StructuralAssertionError(
                     "free-face condition failed during the ordered collapse", cube, face
                 )
-            blockers[cube] = found
+            if remember:
+                blockers[cube] = found
             return False
-        containing = [(lower, face_upper | sub) for sub in _submasks(hugged)]
-        if not removed.isdisjoint(containing):
+        # the two ends are the cube and face tuples themselves, not copies
+        between = [cube, face] + [
+            (face_lower & ~sub, face_upper | sub) for sub in _submasks(span) if 0 < sub < span
+        ]
+        if not removed.isdisjoint(between):
             raise StructuralAssertionError(
                 "collapse would not remove exactly the faces between the "
                 "free face and the target",
                 cube,
                 face,
             )
-        removed.update(containing)
-        blockers.pop(cube, None)
+        removed.update(between)
+        for gone in between:
+            blockers.pop(gone, None)
         events.append(
-            CollapseEvent(
-                target=cube,
-                face=face,
-                hugged=hugged,
-                removed=len(containing),
-            )
+            CollapseEvent(target=cube, face=face, hugged=hugged, removed=len(between), kind=kind)
         )
         return True
 
-    def attempt_pair_down(cube: tuple[int, int]) -> bool:
-        """Cleanup collapse for a cube whose hugged members cannot be dropped.
-
-        The cube pairs with the face extending its lower set by the least
-        non-hugged member; the pair must form a genuine elementary collapse
-        (the cube is the face's only present codimension-1 coface).
-        """
-        if cube in removed:
-            return False
-        lower, upper = cube
-        hugged = oracle.hugged_mask(upper) & ~lower
-        rest = upper & ~lower & ~hugged
-        if not rest:
-            return False
-        y = rest & -rest
-        face = (lower | y, upper)
-        if face in removed or blocker(lower | y, upper, y, 0) is not None:
-            return False
-        removed.update((cube, face))
-        blockers.pop(cube, None)
-        blockers.pop(face, None)
-        events.append(
-            CollapseEvent(
-                target=cube,
-                face=face,
-                hugged=hugged,
-                removed=2,
-                kind="pair-down",
-            )
-        )
-        return True
-
-    def cleanup(cube: tuple[int, int]) -> bool:
-        return attempt(cube) or attempt_pair_down(cube)
-
-    for step in (attempt,) if strict_schedule else (attempt, cleanup):
+    # each cube's face drops its hugged members; in the cleanup phase a
+    # blocked one instead pairs down, adding its least non-hugged member
+    for cleanup in (False,) if strict_schedule else (False, True):
         progressed = True
         while progressed:
             progressed = False
             for cube in order:
-                if step(cube):
+                if cube in removed:
+                    continue
+                lower, upper = cube
+                hugged = oracle.hugged_mask(upper) & ~lower
+                if collapse(cube, (lower, upper & ~hugged), hugged, "drop-hugged"):
                     progressed = True
+                    continue
+                rest = upper & ~lower & ~hugged
+                if cleanup and rest:
+                    face = (lower | rest & -rest, upper)
+                    progressed |= collapse(cube, face, hugged, "pair-down")
             order = [cube for cube in order if cube not in removed]
 
     initial_stats = star.stats()

@@ -255,14 +255,6 @@ def naive_max_clique_size(adj: list[int], mask: int) -> int:
     return best
 
 
-def is_inextendible(cg: CompatibilityGraph, members: Iterable[int]) -> bool:
-    """No partition outside the set is compatible with every member."""
-    ids = sorted(set(members))
-    if not cg.is_clique(ids):
-        raise ValueError("the given set is not pairwise compatible")
-    return not cg.extensions(cg.members_mask(ids))
-
-
 def clique_masks(
     adj: Sequence[int],
     cand: int,
@@ -301,14 +293,3 @@ def clique_masks(
                 children.append((mask | low, size, later))
         stack += reversed(children)
 
-
-def enumerate_compatible_sets(
-    cg: CompatibilityGraph, max_size: int | None = None, cap: int | None = None
-) -> Iterator[frozenset[int]]:
-    """All pairwise-compatible sets (cliques) of size <= max_size.
-
-    A frozenset view of clique_masks over the whole compatibility graph: the
-    same order, the empty set first, and the same ``cap`` behaviour.
-    """
-    masks = clique_masks(cg.adj, (1 << cg.n) - 1, max_size=max_size, cap=cap)
-    return (frozenset(mask_iter(m)) for m in masks)

@@ -320,6 +320,30 @@ class TestRefusals:
         assert proc.stderr == b"error: line 2: graph text is not valid UTF-8\n"
         assert proc.stdout == b""
 
+    def test_line_separator_does_not_end_a_line(self):
+        # U+2028 is whitespace inside the one line, not a second line
+        cmd = [sys.executable, "-m", "raagspine.cli", "partitions", "--json", "-"]
+        proc = subprocess.run(cmd, input="vertex a\u2028vertex b\n".encode(), capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: line 1: expected: vertex <name>\n"
+        assert proc.stdout == b""
+
+    def test_form_feed_keeps_the_line_count(self):
+        # lines are counted at newlines, as the UTF-8 refusal counts them
+        cmd = [sys.executable, "-m", "raagspine.cli", "partitions", "-"]
+        for data, message in (
+            (b"vertex a\x0c\nvertex b,c\n", b"invalid vertex name: 'b,c'"),
+            (b"vertex a\x0c\nvertex caf\xe9\n", b"graph text is not valid UTF-8"),
+        ):
+            proc = subprocess.run(cmd, input=data, capture_output=True)
+            assert proc.returncode == 2
+            assert proc.stderr == b"error: line 2: " + message + b"\n"
+
+    def test_crlf_lines_parse(self):
+        proc = run_cli(["partitions", "--json", "-"], stdin_text="edge a b\r\nedge b c\r\n")
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(["partitions", "--json", "-"], "edge a b\nedge b c\n").stdout
+
     def test_zero_cap_and_budget_keep_their_meaning(self, t2_file):
         assert run_cli(["retract", "--cap", "0", t2_file]).returncode == 3
         proc = run_cli(["verify", "--lemma", "oversize", "--budget", "0", t2_file])

@@ -6,7 +6,6 @@ from raagspine import (
     HugOracle,
     HugWitness,
     compatibility_graph,
-    cube_survives,
     families,
     is_hugged_in,
     max_compatible,
@@ -227,39 +226,24 @@ class TestIsHuggedIn:
 
 
 class TestCubeSurvives:
+    """HugOracle.survives on whole compatible sets as upper sets."""
+
     def test_empty_cube_in_complete_graph(self, cg_cache):
         cg = cg_cache(families.complete(3))
-        assert cube_survives(cg, [], [])
+        assert HugOracle(cg).survives(0, 0)
 
     def test_maximum_sets_in_rake2_do_not_survive(self, cg_cache):
-        from raagspine import enumerate_compatible_sets
-
         cg = cg_cache(families.rake(2))
-        seen = 0
-        for members in enumerate_compatible_sets(cg, 6):
-            if len(members) == 6:
-                seen += 1
-                assert not cube_survives(cg, [], members)
-        assert seen == 192
+        oracle = HugOracle(cg)
+        sixes = list(clique_masks(cg.adj, (1 << cg.n) - 1, min_size=6, max_size=6))
+        assert len(sixes) == 192
+        assert not any(oracle.survives(0, members) for members in sixes)
 
     def test_surviving_principal_witness_exists(self, cg_cache):
-        from raagspine import enumerate_compatible_sets
-
-        g = families.rake(2)
-        cg = cg_cache(g)
-        principal = g.classify_vertices().principal
-        found = False
-        for members in enumerate_compatible_sets(cg, 5):
-            if len(members) == 5 and all(cg.principal[i] for i in members):
-                if cube_survives(cg, [], members):
-                    found = True
-                    break
-        assert found
-
-    def test_containment_violation_rejected(self, cg_cache):
         cg = cg_cache(families.rake(2))
-        with pytest.raises(HugError):
-            cube_survives(cg, [0], [])
+        oracle = HugOracle(cg)
+        fives = clique_masks(cg.adj, cg.principal_mask, min_size=5, max_size=5)
+        assert any(oracle.survives(0, members) for members in fives)
 
 
 class TestOversizeLemma:

@@ -1,5 +1,7 @@
+import itertools
 import json
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,14 @@ def census_graph(index):
     entry = json.loads(path.read_text())[index]
     names = [f"x{v}" for v in range(entry["n"])]
     return SimplicialGraph(names, [(f"x{a}", f"x{b}") for a, b in entry["edges"]])
+
+
+@pytest.fixture(scope="module")
+def census64(cg_cache):
+    """(star, trace) of census-pool graph 64: neither spiky nor barbed, and
+    its retraction leaves cubes blocked at the fixpoint (no fixture does)."""
+    star = build_star(cg_cache(census_graph(64)))
+    return star, retract(star, warn_and_proceed=True)
 
 
 @pytest.fixture(scope="module")
@@ -448,16 +458,10 @@ class TestRetract:
         assert trace.final_stats.dimension <= trace.initial_stats.dimension
 
     @pytest.mark.slow
-    def test_skipped_cubes_are_blocked(self, cg_cache):
-        # a non-spiky 7-vertex graph whose retraction leaves cubes blocked at
-        # the fixpoint (no fixture does): each one's designated face has a
+    def test_skipped_cubes_are_blocked(self, census64):
+        # each cube blocked at the fixpoint has a designated face with a
         # present coface outside the cubes its collapse would remove
-        from raagspine.graph import SimplicialGraph
-
-        edges = ["ad", "af", "bc", "bf", "cd", "cf", "de", "dg", "ef"]
-        g = SimplicialGraph(list("abcdefg"), [tuple(e) for e in edges])
-        star = build_star(cg_cache(g))
-        trace = retract(star, warn_and_proceed=True)
+        star, trace = census64
         assert (len(trace.events), len(trace.skipped)) == (94014, 396)
         assert_skipped_blocked(star, trace)
 
@@ -476,6 +480,77 @@ class TestRetract:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "de397d53aaaaba63ae090f57228d2d5ccb214ed62ec9d3780b7f086de54d5a7a"
         )
+
+
+def symmetries(g):
+    """Letter permutations of the graph's symmetries, by name: each
+    generator inversion, and each automorphism of the graph (the identity
+    included), found by brute force over vertex permutations."""
+    letters = range(2 * g.n)
+    out = {f"invert {g.names[v]}": [s ^ 1 if s >> 1 == v else s for s in letters]
+           for v in range(g.n)}
+    for perm in itertools.permutations(range(g.n)):
+        if all(perm[b] in g.adj[perm[a]] for a, b in g.edges):
+            out[f"automorphism {perm}"] = [2 * perm[s >> 1] | s & 1 for s in letters]
+    return out
+
+
+def cube_action(cg, letters):
+    """The map on cubes induced by a letter permutation: each node's sides
+    are mapped letter by letter, made canonical and looked up in node_of."""
+
+    def image(mask, of):
+        return sum(1 << of[i] for i in mask_iter(mask))
+
+    nodes = []
+    for p in cg.nodes:
+        a, b = image(p.side_a, letters), image(p.side_b, letters)
+        nodes.append(cg.node_of[(a, b) if a & -a < b & -b else (b, a)])
+    members = cache(lambda mask: image(mask, nodes))
+    return lambda cube: (members(cube[0]), members(cube[1]))
+
+
+def moving_symmetries(star, trace):
+    """The names of the symmetries that move the removed or skipped cubes."""
+    moved = []
+    for name, letters in symmetries(star.cg.graph).items():
+        act = cube_action(star.cg, letters)
+        for cubes in (trace.removed, frozenset(trace.skipped)):
+            if {act(c) for c in cubes} != cubes:
+                moved.append(name)
+                break
+    return moved
+
+
+class TestEquivariance:
+    """The paper's retraction is equivariant under the symmetries of the
+    graph; the audited schedule keeps that where these tests say."""
+
+    @pytest.mark.parametrize(
+        "name, maps, removed",
+        [("rake2", 8, 29200), ("compatibility-example", 7, 166624), ("census173", 7, 192)],
+    )
+    def test_removed_and_skipped_cubes_map_onto_themselves(
+        self, name, maps, removed, small_traces, fixture_traces
+    ):
+        star, trace = {**small_traces, **fixture_traces}[name]
+        assert (len(symmetries(star.cg.graph)), len(trace.removed)) == (maps, removed)
+        assert moving_symmetries(star, trace) == []
+
+    @pytest.mark.slow
+    def test_census64_schedule_is_not_equivariant(self, census64):
+        # the first graph in the suite whose audited schedule breaks the
+        # symmetry: inverting x0, x2, x4 or x6, or swapping x0 and x4, moves
+        # the removed cubes, while inverting x1, x3 or x5 does not
+        star, trace = census64
+        assert len(trace.skipped) == 396
+        assert moving_symmetries(star, trace) == [
+            "invert x0",
+            "invert x2",
+            "invert x4",
+            "invert x6",
+            "automorphism (4, 1, 2, 3, 0, 5, 6)",
+        ]
 
 
 class TestCrosscheck:
@@ -547,7 +622,6 @@ class TestCrosscheck:
         # the configuration behind the closure defect: an inextendible
         # all-principal 5-set whose cube survives, while the characterization
         # discards the face dropping the partition with side {a1, u, u^-1}
-        from raagspine import cube_survives, is_inextendible
         from conftest import doubled_names, node_id
 
         g = families.rake(2)
@@ -562,11 +636,12 @@ class TestCrosscheck:
         clique = frozenset([blocker, *rest])
         assert cg.is_clique(clique)
         assert all(cg.principal[i] for i in clique)
-        assert is_inextendible(cg, clique)
-        assert cube_survives(cg, [], clique)
+        assert cg.extensions(cg.members_mask(clique)) == 0
+        oracle = HugOracle(cg)
+        assert oracle.survives(0, cg.members_mask(clique))
         # the sub-face without the blocker fails the characterization: the
         # u-partition {u, a1, a1^-1, b1, b1^-1} can be added and is hugged
-        assert not cube_survives(cg, [], frozenset(rest))
+        assert not oracle.survives(0, cg.members_mask(rest))
         q = node_id(cg, ["u"] + doubled_names(["a1", "b1"]))
         assert not cg.edge(q, blocker)
         from raagspine import is_hugged_in

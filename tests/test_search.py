@@ -3,12 +3,7 @@ import random
 
 import pytest
 
-from raagspine import (
-    enumerate_compatible_sets,
-    families,
-    is_inextendible,
-    max_compatible,
-)
+from raagspine import families, max_compatible
 from raagspine.graph import mask_iter
 from raagspine.search import (
     CapExceededError,
@@ -181,7 +176,7 @@ class TestSolverProperties:
         # oracle: enumerate all maximum cliques and take the smallest id tuple
         for g in (families.rake(1), families.rake(2), families.edgeless(3)):
             cg = cg_cache(g)
-            sets = list(enumerate_compatible_sets(cg))
+            sets = [frozenset(mask_iter(m)) for m in clique_masks(cg.adj, (1 << cg.n) - 1)]
             for wanted in (frozenset(range(g.n)), g.classify_vertices().principal):
                 result = max_compatible(cg, wanted)
                 allowed = based_mask(cg, wanted)
@@ -348,40 +343,40 @@ class TestCliqueMasks:
 
 
 class TestInextendibility:
+    """A compatible set is inextendible when no node extends it."""
+
     def test_empty_set_in_complete_graph(self, cg_cache):
         cg = cg_cache(families.complete(3))
-        assert is_inextendible(cg, frozenset())
+        assert cg.extensions(0) == 0
 
     def test_single_leaf_partition_extendible(self, cg_cache):
         g = families.rake(2)
         cg = cg_cache(g)
         q = node_id(cg, ["u"] + doubled_names(["a1", "b1"]))
-        assert not is_inextendible(cg, {q})
+        assert cg.extensions(1 << q)
 
     def test_delta_maximum_set_inextendible(self, cg_cache):
         g = families.delta()
         cg = cg_cache(g)
         result = max_compatible(cg, frozenset(range(g.n)))
         assert result.size == 14
-        assert is_inextendible(cg, result.witness)
-
-    def test_non_clique_rejected(self, cg_cache):
-        g = families.rake(2)
-        cg = cg_cache(g)
-        q1 = node_id(cg, ["u"] + doubled_names(["a1", "b1"]))
-        q2 = node_id(cg, ["u"] + doubled_names(["a2", "b2"]))
-        with pytest.raises(ValueError):
-            is_inextendible(cg, {q1, q2})
+        assert cg.is_clique(result.witness)
+        assert cg.extensions(cg.members_mask(result.witness)) == 0
 
 
 class TestEnumeration:
+    """The whole compatibility graph through clique_masks."""
+
+    def sets(self, cg, **kw):
+        return [frozenset(mask_iter(m)) for m in clique_masks(cg.adj, (1 << cg.n) - 1, **kw)]
+
     def test_complete_graph_only_empty_set(self, cg_cache):
         cg = cg_cache(families.complete(3))
-        assert list(enumerate_compatible_sets(cg)) == [frozenset()]
+        assert self.sets(cg) == [frozenset()]
 
     def test_rake1_count(self, cg_cache):
         cg = cg_cache(families.rake(1))
-        assert len(list(enumerate_compatible_sets(cg, 2))) == 9
+        assert len(self.sets(cg, max_size=2)) == 9
 
     def test_rake2_contains_explicit_maximum_set(self, cg_cache):
         g = families.rake(2)
@@ -398,19 +393,10 @@ class TestEnumeration:
             ]
         )
         assert len(explicit) == 6
-        assert explicit in set(enumerate_compatible_sets(cg, 6))
+        assert explicit in set(self.sets(cg, max_size=6))
 
     def test_lexicographic_order_and_dedup(self, cg_cache):
         cg = cg_cache(families.rake(1))
-        sets = list(enumerate_compatible_sets(cg))
-        keys = [tuple(sorted(s)) for s in sets]
+        keys = [tuple(sorted(s)) for s in self.sets(cg)]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-
-    def test_cap_exceeded(self, cg_cache):
-        cg = cg_cache(families.rake(2))
-        out = []
-        with pytest.raises(CapExceededError):
-            for s in enumerate_compatible_sets(cg, cap=10):
-                out.append(s)
-        assert len(out) == 10
