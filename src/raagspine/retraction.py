@@ -182,9 +182,9 @@ def retract(
 
     Cubes are processed in ascending (b, t, p) order, ties broken by the
     lexicographic order of (lower, upper) member ids.  Only cubes whose upper
-    set has hugged members outside the lower set are swept: the hugged mask
-    depends on the upper set alone, and no other cube has a face to collapse
-    from, so the events are the same as a sweep over every cube.
+    set has hugged members outside the lower set are swept (the hugged mask
+    depends on the upper set alone); they are the cubes the schedule
+    collapses.
 
     Every event is the one audited elementary collapse: the face must be
     present, every present codimension-1 coface of it must lie between it
