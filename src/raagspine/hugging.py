@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 from .compat import CompatibilityGraph
 from .graph import SimplicialGraph, mask_iter, sv_neg, sv_pos
 from .partitions import Partition, _canonical
-from .search import clique_masks, max_compatible
+from .search import _co_components, clique_masks, max_compatible
 
 
 class HugError(ValueError):
@@ -151,6 +151,23 @@ def is_hugged_in(
         if not w.hugger_mask & ~mask:
             return w
     return None
+
+
+def active_factor(cg: CompatibilityGraph) -> int:
+    """The union of the co-components of the compatibility graph that hold a
+    non-principal node or a hugger of one, as a node mask.
+
+    Every other node is principal, takes part in no hug configuration and
+    is compatible with every node of this factor; so which members of a
+    compatible set are hugged depends only on its members in the factor.
+    """
+    everyone = (1 << cg.n) - 1
+    non_principal = everyone & ~cg.principal_mask
+    touched = non_principal
+    for q_id in mask_iter(non_principal):
+        for w in hug_configs(cg, q_id):
+            touched |= w.hugger_mask
+    return sum(part for part in _co_components(cg.adj, everyone) if part & touched)
 
 
 class HugOracle:

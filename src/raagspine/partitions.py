@@ -189,17 +189,16 @@ def _side_masks(base: int, units: list[int]):
     ones never arise because each side gets a base letter and at least one
     unit.
     """
-    k = len(units)
     pos = 1 << sv_pos(base)
     neg = 1 << sv_neg(base)
-    for bits in range(1, (1 << k) - 1):
-        m1, m2 = pos, neg
-        for i in range(k):
-            if bits >> i & 1:
-                m1 |= units[i]
-            else:
-                m2 |= units[i]
-        yield _canonical(m1, m2)
+    total = sum(units)  # units are disjoint
+    # sums[bits] is the union of the units in bits, a subset sum over its
+    # lowest unit
+    sums = [0] * ((1 << len(units)) - 1)
+    for bits in range(1, len(sums)):
+        low = bits & -bits
+        sums[bits] = side = sums[bits ^ low] | units[low.bit_length() - 1]
+        yield _canonical(pos | side, neg | total & ~side)
 
 
 def _check_assignments(unit_counts: Iterable[int]) -> None:

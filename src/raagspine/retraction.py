@@ -4,14 +4,23 @@ Cubes are addressed by pairs (lower, upper) of compatible sets with
 lower ⊆ upper; the dimension is |upper \\ lower|.  The full star is face
 closed: every (A, B) with lower ⊆ A ⊆ B ⊆ upper of a member is a member.
 
-The retraction sweeps cubes in ascending (b, t, p) order, where b = |lower|,
-t = M(V) - |upper| and p = M(L) - #principal members of upper.  Each event is
-one elementary collapse of a cube from a face: the face must be free at that
-moment (every present cube containing it lies between it and the cube), which
-is audited at each event, never assumed, and pushing in along the face removes
-exactly the cubes between the two.  The face drops the hugged members of the
-upper set outside the lower set, or, in a cleanup phase, adds the least
-non-hugged member to the lower set.
+The star is the product of two factors.  The active factor holds the
+compatible sets inside the co-components of the compatibility graph that
+hold a non-principal node or a hugger of one; the inert factor holds those
+inside the rest, whose nodes are all principal and take part in no hug.
+
+The retraction sweeps the active factor's cubes in ascending (b, t, p) order,
+where b = |lower|, t = M(V) - |upper| and p = M(L) - #principal members of
+upper.  Each event is one elementary collapse of a cube from a face: the face
+must be free at that moment (every present cube containing it lies between it
+and the cube), which is audited at each event, never assumed, and pushing in
+along the face removes exactly the cubes between the two.  The face drops the
+hugged members of the upper set outside the lower set, or, in a cleanup
+phase, adds the least non-hugged member to the lower set.  Each factor event,
+taken times each cube of the inert factor, is an elementary collapse of the
+star; these lifted events run in the factor's sweep order and then in the
+star's own (b, t, p) order, and each one passes the same audit again against
+the whole star.
 
 Markings are ignored throughout: the group action only changes markings, so
 one copy of the star carries the combinatorial content.
@@ -28,7 +37,7 @@ from typing import Callable, Iterable, Optional
 from .compat import CompatibilityGraph
 from .conditions import is_spiky
 from .graph import mask_iter
-from .hugging import HugOracle
+from .hugging import HugOracle, active_factor
 from .search import CapExceededError, _co_components, clique_masks, max_compatible
 
 
@@ -136,7 +145,7 @@ def build_star(cg: CompatibilityGraph, cap: int = 200000) -> StarComplex:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollapseEvent:
     target: tuple[int, int]
     face: tuple[int, int]
@@ -171,6 +180,69 @@ class RetractionTrace:
         }
 
 
+def _collapses(
+    extensions: Callable[[int], int],
+    removed: set[tuple[int, int]],
+    events: list[CollapseEvent],
+):
+    """The one audited elementary collapse on a record of removed cubes.
+
+    Returns ``collapse(cube, face, hugged, kind, known=None)``, which grows
+    ``removed`` and ``events``; ``extensions(upper)`` gives the nodes that
+    extend a compatible set of the complex by one member.
+    """
+
+    def blocker(lower: int, upper: int, span: int):
+        """A present codimension-1 coface (lower - x, upper) or
+        (lower, upper + y) with y in extensions(upper), for x and y outside
+        span; None if there is none."""
+        for x in mask_iter(lower & ~span):
+            if (lower & ~(1 << x), upper) not in removed:
+                return (lower & ~(1 << x), upper)
+        for y in mask_iter(extensions(upper) & ~span):
+            if (lower, upper | 1 << y) not in removed:
+                return (lower, upper | 1 << y)
+        return None
+
+    def collapse(cube, face, hugged: int, kind: str, known=None):
+        """The elementary collapse of cube from its face: audit that every
+        present codimension-1 coface of the face lies between the two, then
+        remove exactly the cubes between them and record the event.  Returns
+        None once done, or a present coface outside that blocks it; a
+        ``known`` blocker from an earlier audit answers while it is present."""
+        lower, upper = cube
+        face_lower, face_upper = face
+        if face in removed:
+            raise StructuralAssertionError(
+                "free face is absent although its cofaces are present", cube, face
+            )
+        span = face_lower & ~lower | upper & ~face_upper  # members from face to cube
+        if known is None or known in removed:
+            known = blocker(face_lower, face_upper, span)
+        if known is not None:
+            return known
+        # the two ends are the cube and face tuples themselves, not copies
+        between = [cube, face]
+        if span & span - 1:  # more than one member from face to cube
+            between += [
+                (face_lower & ~sub, face_upper | sub) for sub in _submasks(span) if 0 < sub < span
+            ]
+        if not removed.isdisjoint(between):
+            raise StructuralAssertionError(
+                "collapse would not remove exactly the faces between the "
+                "free face and the target",
+                cube,
+                face,
+            )
+        removed.update(between)
+        events.append(
+            CollapseEvent(target=cube, face=face, hugged=hugged, removed=len(between), kind=kind)
+        )
+        return None
+
+    return collapse
+
+
 def retract(
     star: StarComplex,
     *,
@@ -180,34 +252,51 @@ def retract(
 ) -> RetractionTrace:
     """Run the ordered collapse over the star; returns the audited trace.
 
-    Cubes are processed in ascending (b, t, p) order, ties broken by the
-    lexicographic order of (lower, upper) member ids.  Only cubes whose upper
-    set has hugged members outside the lower set are swept (the hugged mask
-    depends on the upper set alone); they are the cubes the schedule
-    collapses.
+    The schedule is chosen on the active factor of the star alone: the
+    compatible sets inside ``active_factor``, the co-components that hold a
+    non-principal node or a hugger of one.  Every other node is principal,
+    takes part in no hug and is compatible with every active node, so the
+    star is the product of the active factor and the inert one, and the
+    hugged members of an upper set are those of its active part.
 
-    Every event is the one audited elementary collapse: the face must be
-    present, every present codimension-1 coface of it must lie between it
-    and the cube (enough, as the present cubes stay face closed), and then
-    exactly the cubes between the two are removed.  The schedule only
-    chooses the face.  It first drops the hugged members from the upper set;
-    sweeps repeat until no event fires, and a blocked cube is retried on the
-    next sweep, remembering the coface that blocked it.  A cleanup phase
-    then sweeps again, pairing a cube whose hugged members still cannot be
-    dropped with the face that adds its least non-hugged member to the lower
-    set.  After each sweep the removed cubes leave the order, so the next
-    sweep visits only the cubes still present.  Cubes still blocked at the
-    fixpoint are reported in the trace, beside the set of removed cubes,
-    which is the only record of the complex: the final f-vector is the
-    star's closed form minus theirs.  (There are graphs, the 2-rake among
-    them, where a dropping face is a face of a cube that genuinely survives,
-    so a fully literal single sweep cannot complete; see the README.)
+    The factor's cubes are swept in ascending (b, t, p) order, where
+    b = |lower|, t = M(V) - |upper| and p = M(L) - #principal members of
+    upper (the star's M(V) and M(L) differ from the factor's by constants,
+    so the order is the same), ties broken by the lexicographic order of
+    (lower, upper) member ids.  Only cubes whose upper set has hugged members
+    outside the lower set are swept; they are the cubes the schedule
+    collapses.  Each event is the one audited elementary collapse: the face
+    must be present, every present codimension-1 coface of it must lie
+    between it and the cube (enough, as the present cubes stay face closed),
+    and then exactly the cubes between the two are removed.  The schedule
+    only chooses the face.  It first drops the hugged members from the upper
+    set; sweeps repeat until no event fires, and a blocked cube is retried
+    on the next sweep, remembering the coface that blocked it.  A cleanup
+    phase then sweeps again, pairing a cube whose hugged members still
+    cannot be dropped with the face that adds its least non-hugged member to
+    the lower set.  After each sweep the removed cubes leave the order.  In
+    the factor, an audit reads the factor's own removed cubes and extensions.
+
+    A collapse of the factor, taken times one cube (l, u) of the inert
+    factor, is an elementary collapse of the star.  Each factor event is so
+    lifted over every inert cube, and the lifted events are ordered by the
+    factor's sweep and then by the star's own (b, t, p, tie-break) key of
+    the lifted cube.  Every lifted event passes the same audited collapse,
+    against the removed cubes of the whole star; one that fails raises a
+    StructuralAssertionError.  Factor cubes still blocked at the fixpoint
+    are lifted likewise and reported in the trace, beside the set of removed
+    cubes, which is the only record of the complex: the final f-vector is
+    the star's closed form minus theirs.  (There are graphs, the 2-rake
+    among them, where a dropping face is a face of a cube that genuinely
+    survives, so a fully literal single sweep cannot complete; see the
+    README.)
 
     ``strict_schedule`` runs the dropping sweep alone and raises a
-    StructuralAssertionError at the first blocked event, reproducing the
-    single-sweep schedule literally.  Requires a spiky graph unless
-    ``warn_and_proceed`` is set.  ``tie_break`` overrides the order within
-    one (b, t, p) batch (used by the order-insensitivity audit).
+    StructuralAssertionError at the first blocked event, reporting the lift
+    of the blocked factor cube that the star's order reaches first; this
+    reproduces the single-sweep schedule literally.  Requires a spiky graph
+    unless ``warn_and_proceed`` is set.  ``tie_break`` overrides the order
+    within one (b, t, p) batch (used by the order-insensitivity audit).
     """
     cg = star.cg
     spiky = is_spiky(cg.graph)
@@ -217,7 +306,8 @@ def retract(
             (0, 0),
             (0, 0),
         )
-    rank = {c: i for i, c in enumerate(star.cliques)}  # lexicographic by ids
+
+    rank: dict[int, int] = {}  # filled once a cube is ordered; see below
 
     def lex(cube: tuple[int, int]):
         return (rank[cube[0]], rank[cube[1]])
@@ -233,75 +323,34 @@ def retract(
         assert t >= 0 and p >= 0
         return (b, t, p, tie_break(cube))
 
+    active = active_factor(cg)
+
+    def inert_cubes() -> list[tuple[int, int]]:
+        return [(lower, upper) for upper in star.cliques if not upper & active
+                for lower in _submasks(upper)]
+
+    def lift(cube: tuple[int, int], over: tuple[int, int]) -> tuple[int, int]:
+        return (cube[0] | over[0], cube[1] | over[1])
+
     oracle = HugOracle(cg)
-    order = []  # the cubes that can fire; see the docstring
-    for upper in star.cliques:
+    order = []  # the factor cubes that can fire; see the docstring
+    for upper in clique_masks(cg.adj, active):
         hug_all = oracle.hugged_mask(upper)
         if hug_all:
             order.extend((lower, upper) for lower in _submasks(upper) if hug_all & ~lower)
+    if order:
+        rank.update((c, i) for i, c in enumerate(star.cliques))  # lexicographic by ids
     order.sort(key=sort_key)
-    removed: set[tuple[int, int]] = set()
-    events: list[CollapseEvent] = []
+    factor_removed: set[tuple[int, int]] = set()
+    factor_events: list[CollapseEvent] = []
+    collapse = _collapses(
+        cache(lambda upper: cg.extensions(upper) & active), factor_removed, factor_events
+    )
+    sweeps = []  # the factor's events, one list per sweep
     # a blocked cube remembers the blocker of its drop-hugged face, which
     # every sweep re-audits; while present (removed only grows) it answers the
-    # next audit, and the entry is dropped once the cube is removed
+    # next audit
     blockers: dict[tuple[int, int], tuple[int, int]] = {}
-    extensions = cache(cg.extensions)  # few distinct faces, many audits
-
-    def blocker(lower: int, upper: int, span: int):
-        """A present codimension-1 coface (lower - x, upper) or
-        (lower, upper + y) with y in extensions(upper), for x and y outside
-        span; None if there is none."""
-        for x in mask_iter(lower & ~span):
-            if (lower & ~(1 << x), upper) not in removed:
-                return (lower & ~(1 << x), upper)
-        for y in mask_iter(extensions(upper) & ~span):
-            if (lower, upper | 1 << y) not in removed:
-                return (lower, upper | 1 << y)
-        return None
-
-    def collapse(cube: tuple[int, int], face: tuple[int, int], hugged: int, kind: str) -> bool:
-        """The elementary collapse of cube from its face: audit that every
-        present codimension-1 coface of the face lies between the two, then
-        remove exactly the cubes between them and record the event.  False
-        when a coface outside blocks it."""
-        lower, upper = cube
-        face_lower, face_upper = face
-        if face in removed:
-            raise StructuralAssertionError(
-                "free face is absent although its cofaces are present", cube, face
-            )
-        span = face_lower & ~lower | upper & ~face_upper  # members from face to cube
-        remember = kind == "drop-hugged"
-        found = blockers.get(cube) if remember else None
-        if found is None or found in removed:
-            found = blocker(face_lower, face_upper, span)
-        if found is not None:
-            if strict_schedule:
-                raise StructuralAssertionError(
-                    "free-face condition failed during the ordered collapse", cube, face
-                )
-            if remember:
-                blockers[cube] = found
-            return False
-        # the two ends are the cube and face tuples themselves, not copies
-        between = [cube, face] + [
-            (face_lower & ~sub, face_upper | sub) for sub in _submasks(span) if 0 < sub < span
-        ]
-        if not removed.isdisjoint(between):
-            raise StructuralAssertionError(
-                "collapse would not remove exactly the faces between the "
-                "free face and the target",
-                cube,
-                face,
-            )
-        removed.update(between)
-        for gone in between:
-            blockers.pop(gone, None)
-        events.append(
-            CollapseEvent(target=cube, face=face, hugged=hugged, removed=len(between), kind=kind)
-        )
-        return True
 
     # each cube's face drops its hugged members; in the cleanup phase a
     # blocked one instead pairs down, adding its least non-hugged member
@@ -309,19 +358,53 @@ def retract(
         progressed = True
         while progressed:
             progressed = False
+            start = len(factor_events)
             for cube in order:
-                if cube in removed:
+                if cube in factor_removed:
                     continue
                 lower, upper = cube
                 hugged = oracle.hugged_mask(upper) & ~lower
-                if collapse(cube, (lower, upper & ~hugged), hugged, "drop-hugged"):
+                face = (lower, upper & ~hugged)
+                found = collapse(cube, face, hugged, "drop-hugged", blockers.get(cube))
+                if found is None:
                     progressed = True
                     continue
+                if strict_schedule:
+                    over = min(inert_cubes(), key=lambda c: sort_key(lift(cube, c)))
+                    raise StructuralAssertionError(
+                        "free-face condition failed during the ordered collapse",
+                        lift(cube, over),
+                        lift(face, over),
+                    )
+                blockers[cube] = found
                 rest = upper & ~lower & ~hugged
                 if cleanup and rest:
                     face = (lower | rest & -rest, upper)
-                    progressed |= collapse(cube, face, hugged, "pair-down")
-            order = [cube for cube in order if cube not in removed]
+                    if collapse(cube, face, hugged, "pair-down") is None:
+                        progressed = True
+            sweeps.append(factor_events[start:])
+            order = [cube for cube in order if cube not in factor_removed]
+
+    if active == (1 << cg.n) - 1:
+        # the factor is the star, so its audits already read the star
+        removed, events = factor_removed, factor_events
+    else:
+        removed, events = set(), []
+        collapse = _collapses(cache(cg.extensions), removed, events)
+        inert = inert_cubes() if factor_events or order else []
+        for batch in sweeps:
+            lifted = [
+                ((e.target[0] | a, e.target[1] | b), (e.face[0] | a, e.face[1] | b), e)
+                for e in batch
+                for a, b in inert
+            ]
+            lifted.sort(key=lambda event: sort_key(event[0]))
+            for cube, face, e in lifted:
+                if collapse(cube, face, e.hugged, e.kind) is not None:
+                    raise StructuralAssertionError(
+                        "a lifted collapse failed its free-face audit", cube, face
+                    )
+        order = [lift(cube, c) for cube in order for c in inert]
 
     initial_stats = star.stats()
     gone = Counter((upper & ~lower).bit_count() for lower, upper in removed)
@@ -341,21 +424,29 @@ def crosscheck_survivors(star: StarComplex, trace: RetractionTrace) -> "Crossche
     """Compare the retained cubes against the survivor predicate.
 
     A cube (lower, upper) should survive iff ``HugOracle.survives`` holds,
-    computed with a fresh oracle.  An upper set whose cube (∅, upper)
-    survives and that has no removed cube is passed over: each of its cubes
-    is present and survives, so it cannot mismatch; the lower sets of every
-    other upper set are visited.
+    computed with a fresh oracle.  The oracle is asked about the active
+    projection upper & ``active_factor``, which is exact: hugged members and
+    their huggers are active, and every active node is compatible with every
+    inert one; so upper sets with one projection share the oracle's memo.
+    An upper set whose cube (∅, upper) survives and that has no removed cube
+    is passed over: each of its cubes is present and survives, so it cannot
+    mismatch; the lower sets of every other upper set are visited.
     """
     cg = star.cg
     oracle = HugOracle(cg)
+    active = active_factor(cg)
+    passes = cache(lambda part: oracle.survives(0, part))
     removed_uppers = {upper for _, upper in trace.removed}
     mismatched_kept: list[tuple[int, int]] = []
     mismatched_lost: list[tuple[int, int]] = []
     for upper in star.cliques:
-        if oracle.survives(0, upper) and upper not in removed_uppers:
+        part = upper & active
+        if passes(part) and upper not in removed_uppers:
             continue
+        hugged = oracle.hugged_mask(part)
+        extendable = oracle.extendable_by_hugged(part)
         for lower in _submasks(upper):
-            survives = oracle.survives(lower, upper)
+            survives = not hugged & ~lower and not extendable  # HugOracle.survives
             present = (lower, upper) not in trace.removed
             if present and not survives:
                 mismatched_kept.append((lower, upper))

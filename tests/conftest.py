@@ -83,3 +83,21 @@ def doubled_names(prefixes):
         out.append(p)
         out.append(p + "^-1")
     return out
+
+
+def factor_graph(cg, part):
+    """The compatibility graph on the nodes of the mask ``part`` alone,
+    renumbered in id order.  For a union of co-components, its star is the
+    factor of cg's star on part."""
+    from raagspine import CompatibilityGraph
+    from raagspine.graph import mask_iter
+
+    keep = list(mask_iter(part))
+    new_id = {old: i for i, old in enumerate(keep)}
+    return CompatibilityGraph(
+        graph=cg.graph,
+        nodes=tuple(cg.nodes[i] for i in keep),
+        adj=tuple(sum(1 << new_id[j] for j in mask_iter(cg.adj[i] & part)) for i in keep),
+        principal=tuple(cg.principal[i] for i in keep),
+        bases=tuple(cg.bases[i] for i in keep),
+    )

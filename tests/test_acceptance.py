@@ -9,6 +9,8 @@ closure).  See README.md for the analysis; the other sub-assertions pass.
 
 import itertools
 import time
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -30,8 +32,10 @@ from raagspine import (
     verify_replacement,
 )
 from raagspine.graph import mask_iter
+from raagspine.hugging import active_factor
+from raagspine.search import clique_masks
 
-from conftest import small_fixture_graphs
+from conftest import factor_graph, small_fixture_graphs
 
 
 def record(criterion, ok, detail):
@@ -173,6 +177,75 @@ def test_criterion_5_retraction(cg_cache):
         ),
     )
     assert ok
+
+
+def inert_f_vector(adj, part):
+    """f-vector of the star of the compatible sets inside part, the clique
+    polynomial K(1 + x): a set of size s is the upper set of C(s, d) cubes
+    of dimension d.  The sets are counted by size, never stored."""
+    sizes = Counter(c.bit_count() for c in clique_masks(adj, part))
+    return [sum(k * comb(s, d) for s, k in sizes.items()) for d in range(max(sizes) + 1)]
+
+
+def times(f, g):
+    """The product of two f-vectors as polynomials: the f-vector of the
+    product of the two cube complexes."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def euler(f):
+    return sum((-1) ** d * c for d, c in enumerate(f))
+
+
+def factor_retraction(cg_cache, d):
+    """T_d through the factors of the d-rake's star: retract the star of its
+    active factor, then multiply by the inert factor, on which nothing
+    fires.  A collapse of the factor times each inert cube is a sequence of
+    collapses of the whole star, so the f-vectors multiply."""
+    start = time.time()
+    cg = cg_cache(families.rake(d))
+    active = active_factor(cg)
+    star = build_star(factor_graph(cg, active))
+    trace = retract(star)
+    inert = inert_f_vector(cg.adj, (1 << cg.n) - 1 & ~active)
+    before = times(trace.initial_stats.f_vector, inert)
+    after = times(trace.final_stats.f_vector, inert)
+    dim_ok = len(after) - 1 == 3 * d - 1  # M(L), criterion 1
+    euler_ok = euler(before) == euler(after) == 1
+    record(
+        f"5-T{d}",
+        dim_ok and euler_ok and not trace.skipped,
+        f"factor of {len(star.cliques)} sets, dim {trace.initial_stats.dimension}->"
+        f"{trace.final_stats.dimension}, {len(trace.events)} events; times the inert factor: "
+        f"dim {len(before) - 1}->{len(after) - 1} (M(L)={3 * d - 1}), euler ok={euler_ok}"
+        f" [{time.time() - start:.1f}s]",
+    )
+    return star, trace, before, after
+
+
+def test_criterion_5_factor_t3(cg_cache):
+    # the 3-rake's whole star has 6.5M compatible sets, each the union of
+    # one of the active factor's 1,387 and one of the inert factor's 4,683
+    star, trace, before, after = factor_retraction(cg_cache, 3)
+    assert len(star.cliques) == 1387
+    assert before[0] == 1387 * 4683
+    assert trace.skipped == ()
+    assert (len(before) - 1, len(after) - 1) == (10, 8)
+    assert euler(before) == euler(after) == 1
+
+
+@pytest.mark.slow
+def test_criterion_5_factor_t4(cg_cache):
+    star, trace, before, after = factor_retraction(cg_cache, 4)
+    assert len(star.cliques) == 51355
+    assert before[0] == 51355 * 545835
+    assert trace.skipped == ()
+    assert (len(before) - 1, len(after) - 1) == (14, 11)
+    assert euler(before) == euler(after) == 1
 
 
 def test_criterion_6_oversize_lemma(cg_cache):

@@ -15,7 +15,7 @@ from raagspine import (
     retraction,
 )
 from raagspine.graph import SimplicialGraph, mask_iter
-from raagspine.hugging import HugOracle
+from raagspine.hugging import HugOracle, active_factor, hug_configs
 from raagspine.retraction import StructuralAssertionError, _submasks
 from raagspine.search import CapExceededError, _co_components, clique_masks
 
@@ -141,12 +141,16 @@ def small_traces(cg_cache, rake2_star, rake2_trace):
 @pytest.fixture(scope="module")
 def fixture_traces(cg_cache, small_traces):
     """The small traces except compatibility-example (whose trace is pinned
-    in test_closed_form_stats_match_the_cube_stream), plus census-pool graph
-    173: not spiky, 151 compatible sets and 96 events, and unlike the 2-rake
-    it has audits decided by a lower-set drop."""
+    in test_closed_form_stats_match_the_cube_stream), plus three census-pool
+    graphs.  Graph 173 (not spiky, 151 compatible sets, 96 events) has audits
+    decided by a lower-set drop, unlike the 2-rake.  Graphs 6 (spiky, 507
+    sets, 620 events) and 186 (not spiky, 19,119 sets, 13,840 events) have
+    an inert factor, and their lifted schedules differ from a sweep of the
+    whole star."""
     out = {k: v for k, v in small_traces.items() if k != "compatibility-example"}
-    star = build_star(cg_cache(census_graph(173)))
-    out["census173"] = (star, retract(star, warn_and_proceed=True))
+    for index in (173, 6, 186):
+        star = build_star(cg_cache(census_graph(index)))
+        out[f"census{index}"] = (star, retract(star, warn_and_proceed=True))
     return out
 
 
@@ -176,6 +180,60 @@ def probes(monkeypatch):
 
     monkeypatch.setattr(retraction, "mask_iter", counted)
     return seen
+
+
+# Census-pool graphs whose star has both an active and an inert factor and
+# at most 30,000 compatible sets, as (index, final f-vector, removed cubes,
+# skipped cubes, crosscheck verdict).  Recorded from a sweep of the whole
+# star, except graphs 186 and 265 (both not spiky), which are pinned at the
+# lifted schedule's values.  The whole star's sweep gave 186: (19119, 90156,
+# 181522, 202580, 135488, 54336, 12096, 1152), 27936 removed, and 265:
+# (19281, 90542, 181818, 202652, 135488, 54336, 12096, 1152), 29520 removed;
+# dimension 7 and Euler characteristic 1 either way.
+TWO_FACTOR_CENSUS = [
+    (2, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (6, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (10, (19119, 90164, 181554, 202620, 135504, 54336, 12096, 1152), 27840, 0, False),
+    (11, (453, 1142, 1022, 380, 48), 960, 0, False),
+    (21, (3465, 13776, 22692, 19884, 9808, 2592, 288), 3120, 0, False),
+    (27, (129, 272, 184, 40), 400, 0, False),
+    (29, (3465, 13776, 22692, 19884, 9808, 2592, 288), 3120, 0, False),
+    (36, (3225, 11444, 15940, 10888, 3648, 480), 29200, 0, False),
+    (46, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (58, (19281, 90590, 181946, 202764, 135520, 54336, 12096, 1152), 29200, 0, False),
+    (63, (1359, 4332, 5350, 3184, 904, 96), 4800, 0, False),
+    (70, (14025, 66596, 134848, 151144, 101388, 40728, 9072, 864), 17520, 0, False),
+    (71, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (73, (3465, 13776, 22692, 19884, 9808, 2592, 288), 3120, 0, False),
+    (86, (705, 2258, 2866, 1812, 572, 72), 2200, 0, False),
+    (93, (1425, 4802, 6294, 3996, 1224, 144), 2920, 0, False),
+    (94, (1359, 4332, 5350, 3184, 904, 96), 4800, 0, False),
+    (96, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (101, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (109, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (118, (1425, 4802, 6294, 3996, 1224, 144), 2920, 0, False),
+    (124, (3375, 13560, 22498, 19800, 9792, 2592, 288), 2920, 0, False),
+    (143, (1521, 4746, 5722, 3320, 920, 96), 6200, 0, False),
+    (150, (3225, 11444, 15940, 10888, 3648, 480), 29200, 0, False),
+    (155, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (159, (4275, 17256, 28486, 24576, 11664, 2880, 288), 14600, 0, False),
+    (167, (10395, 48258, 95628, 105036, 69192, 27392, 6048, 576), 15600, 0, False),
+    (174, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (175, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (186, (19119, 90188, 181618, 202676, 135520, 54336, 12096, 1152), 27680, 0, False),
+    (205, (1359, 4332, 5350, 3184, 904, 96), 4800, 0, False),
+    (223, (23691, 95684, 157222, 134168, 62500, 15000, 1440), 110960, 0, False),
+    (229, (705, 2258, 2866, 1812, 572, 72), 2200, 0, False),
+    (235, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (241, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (245, (1359, 4332, 5350, 3184, 904, 96), 4800, 0, False),
+    (249, (4077, 15714, 24714, 20252, 9080, 2096, 192), 24000, 0, False),
+    (251, (11325, 44858, 72098, 59996, 27144, 6288, 576), 70080, 0, False),
+    (265, (19281, 90602, 181978, 202792, 135528, 54336, 12096, 1152), 29120, 0, False),
+    (267, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (289, (507, 1244, 1078, 388, 48), 1240, 0, False),
+    (295, (705, 2258, 2866, 1812, 572, 72), 2200, 0, False),
+]
 
 
 class TestBuildStar:
@@ -295,7 +353,7 @@ class TestRetract:
     def test_face_closure_preserved(self, fixture_traces):
         # the local audit rests on this: no removed cube is a face of a
         # present one, i.e. every coface of a removed cube is removed
-        assert len(fixture_traces) == 11
+        assert len(fixture_traces) == 13
         for name, (star, trace) in fixture_traces.items():
             present_cofaces = reference_cofaces(star)
             for cube in trace.removed:
@@ -319,7 +377,7 @@ class TestRetract:
                 oracle_events += 1
             assert removed == trace.removed
             assert_skipped_blocked(star, trace)
-        assert oracle_events == 14600 + 96
+        assert oracle_events == 14600 + 96 + 620 + 13840
 
     def test_events_audited_removed_counts(self, rake2_star, rake2_trace):
         star = rake2_star
@@ -382,20 +440,24 @@ class TestRetract:
         assert peak < 16 * 2**20
 
     def test_sweep_skips_cubes_that_cannot_fire(self, cg_cache, rake2_star, probes):
-        # counts work, not time: only cubes with hugged members outside the
-        # lower set are ordered (each passes through the tie-break once), and
-        # edgeless(3) has none, so it neither orders a cube nor probes a coface
+        # counts work, not time: only cubes of the active factor with hugged
+        # members outside the lower set are ordered, and then each lifted
+        # event (each passes through the tie-break once); edgeless(3) has
+        # none, so it neither orders a cube nor probes a coface.  On rake(2)
+        # that is 48 factor cubes and 40 x 365 lifted events
         star = build_star(cg_cache(families.edgeless(3)))
         ordered = []
         assert retract(star, tie_break=lambda c: ordered.append(c) or 0).events == ()
         assert probes == [] and ordered == []
         retract(rake2_star, tie_break=lambda c: ordered.append(c) or 0)
-        assert len(ordered) == 17520 < rake2_star.cube_count() == 74825
+        assert len(ordered) == 48 + 14600 < rake2_star.cube_count() == 74825
 
     def test_strict_schedule_raises_on_rake2(self, rake2_star):
         # the single literal sweep stalls at c(0, {4,7,14,15,16}): the face
         # dropping the hugged member has a coface in a genuinely surviving
-        # all-principal inextendible 5-set
+        # all-principal inextendible 5-set.  The active factor stalls at
+        # c(0, {4,7}), and this is its lift that the star's order reaches
+        # first
         with pytest.raises(StructuralAssertionError) as raised:
             retract(rake2_star, strict_schedule=True)
         exc = raised.value
@@ -407,10 +469,11 @@ class TestRetract:
     def test_audits_probe_codimension_one_cofaces(self, rake2_star, probes):
         # counts work, not time: an audit probes the codimension-1 cofaces of
         # its face until one is present, and a re-audit whose remembered
-        # blocker is still present probes none (67,800 probes without it)
+        # blocker is still present probes none.  The factor run probes 64
+        # cofaces and the audits of the lifted events 53,200
         trace = retract(rake2_star)
         assert len(trace.events) == 14600
-        assert len(probes) == 59040
+        assert len(probes) == 64 + 53200
 
     def test_hug_lookups_go_through_the_module_attribute(self, rake2_star, monkeypatch):
         # the traced benchmark run wraps ``hugging.is_hugged_in`` and reads the
@@ -551,6 +614,43 @@ class TestEquivariance:
             "invert x6",
             "automorphism (4, 1, 2, 3, 0, 5, 6)",
         ]
+
+
+class TestFactors:
+    """The star is the product of its active and inert factors, and the
+    retraction lifts the active factor's collapses over the inert one."""
+
+    def test_rake2_factors(self, rake2_star):
+        # the inert nodes are principal, take part in no hug and are
+        # compatible with every active node; the factors' sets multiply
+        cg = rake2_star.cg
+        active = active_factor(cg)
+        inert = (1 << cg.n) - 1 & ~active
+        assert (active.bit_count(), inert.bit_count()) == (14, 14)
+        assert not inert & ~cg.principal_mask
+        for q in mask_iter(active & ~cg.principal_mask):
+            assert all(not w.hugger_mask & inert for w in hug_configs(cg, q))
+        assert all(cg.adj[i] & active == active for i in mask_iter(inert))
+        factor = list(clique_masks(cg.adj, active))
+        rest = list(clique_masks(cg.adj, inert))
+        assert (len(factor), len(rest), sum(1 << c.bit_count() for c in rest)) == (51, 75, 365)
+        assert sorted(a | b for a in factor for b in rest) == sorted(rake2_star.cliques)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "index, f_vector, removed, skipped, ok",
+        TWO_FACTOR_CENSUS,
+        ids=[f"census{row[0]}" for row in TWO_FACTOR_CENSUS],
+    )
+    def test_census_outcomes_hold(self, index, f_vector, removed, skipped, ok, cg_cache):
+        cg = cg_cache(census_graph(index))
+        star = build_star(cg, cap=30000)
+        active = active_factor(cg)
+        assert active and active != (1 << cg.n) - 1
+        trace = retract(star, warn_and_proceed=True)
+        assert trace.final_stats.f_vector == f_vector
+        assert (len(trace.removed), len(trace.skipped)) == (removed, skipped)
+        assert crosscheck_survivors(star, trace).ok is ok
 
 
 class TestCrosscheck:
