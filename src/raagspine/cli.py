@@ -24,7 +24,7 @@ from .hugging import (
     verify_oversize_hugged,
     verify_replacement,
 )
-from .partitions import enumerate_partitions, render_word, whitehead_images
+from .partitions import all_partitions, enumerate_partitions, render_word, whitehead_images
 from .report import SCHEMA_VERSION, analyze
 from .retraction import build_star, crosscheck_survivors, retract
 from .search import CapExceededError, max_compatible
@@ -73,8 +73,6 @@ def _vertex_names(g: SimplicialGraph, text: str) -> frozenset[int]:
 
 
 def _vertex_set(g: SimplicialGraph, args) -> frozenset[int]:
-    if args.all:
-        return frozenset(range(g.n))
     if args.principal:
         return g.classify_vertices().principal
     if args.vertices is not None:
@@ -102,8 +100,6 @@ def cmd_partitions(args) -> int:
     if args.base:
         parts = enumerate_partitions(g, g.vertex_id(args.base))
     else:
-        from .partitions import all_partitions
-
         parts = all_partitions(g)
     payload = {
         "schema_version": SCHEMA_VERSION,

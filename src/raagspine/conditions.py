@@ -152,9 +152,17 @@ def is_barbed(g: SimplicialGraph):
     return not witnesses, tuple(witnesses[:WITNESS_CAP])
 
 
-def _component_spread(g: SimplicialGraph, u: int, targets: frozenset[int]) -> int:
-    comps = g.components_minus_star(u)
-    return sum(1 for comp in comps if comp & targets)
+def _p_k(g: SimplicialGraph, keep: frozenset[int]):
+    """(k, per_u_counts): each non-principal u with the number of components
+    of the graph minus st(u) that hold a dominator of u in ``keep``, and the
+    least k >= 0 with every count <= k+1."""
+    cls = g.classify_vertices()
+    counts = []
+    for u in sorted(cls.non_principal):
+        doms = cls.dominators[u] & keep
+        counts.append((u, sum(1 for comp in g.components_minus_star(u) if comp & doms)))
+    k = max((c for _, c in counts), default=1) - 1
+    return max(k, 0), tuple(counts)
 
 
 def p_k_value(g: SimplicialGraph):
@@ -163,24 +171,13 @@ def p_k_value(g: SimplicialGraph):
     Returns (k, per_u_counts).  Every non-principal vertex has at least one
     dominator and dominators never lie in st(u), so each count is >= 1.
     """
-    cls = g.classify_vertices()
-    counts = []
-    for u in sorted(cls.non_principal):
-        counts.append((u, _component_spread(g, u, cls.dominators[u])))
-    k = max((c for _, c in counts), default=1) - 1
-    return k, tuple(counts)
+    return _p_k(g, frozenset(range(g.n)))
 
 
 def p_k_principal_maximal(g: SimplicialGraph):
     """Informational variant counting only principal maximal dominators."""
     cls = g.classify_vertices()
-    restricted = cls.principal & cls.maximal
-    counts = []
-    for u in sorted(cls.non_principal):
-        doms = cls.dominators[u] & restricted
-        counts.append((u, _component_spread(g, u, doms)))
-    k = max((c for _, c in counts), default=1) - 1
-    return max(k, 0), tuple(counts)
+    return _p_k(g, cls.principal & cls.maximal)
 
 
 def condition_report(g: SimplicialGraph) -> ConditionReport:

@@ -187,29 +187,18 @@ def _collapses(
 ):
     """The one audited elementary collapse on a record of removed cubes.
 
-    Returns ``collapse(cube, face, hugged, kind, known=None)``, which grows
-    ``removed`` and ``events``; ``extensions(upper)`` gives the nodes that
-    extend a compatible set of the complex by one member.
+    Returns ``collapse(cube, face, hugged, kind)``, which grows ``removed``
+    and ``events``; ``extensions(upper)`` gives the nodes that extend a
+    compatible set of the complex by one member.
     """
 
-    def blocker(lower: int, upper: int, span: int):
-        """A present codimension-1 coface (lower - x, upper) or
-        (lower, upper + y) with y in extensions(upper), for x and y outside
-        span; None if there is none."""
-        for x in mask_iter(lower & ~span):
-            if (lower & ~(1 << x), upper) not in removed:
-                return (lower & ~(1 << x), upper)
-        for y in mask_iter(extensions(upper) & ~span):
-            if (lower, upper | 1 << y) not in removed:
-                return (lower, upper | 1 << y)
-        return None
-
-    def collapse(cube, face, hugged: int, kind: str, known=None):
+    def collapse(cube, face, hugged: int, kind: str) -> bool:
         """The elementary collapse of cube from its face: audit that every
         present codimension-1 coface of the face lies between the two, then
-        remove exactly the cubes between them and record the event.  Returns
-        None once done, or a present coface outside that blocks it; a
-        ``known`` blocker from an earlier audit answers while it is present."""
+        remove exactly the cubes between them and record the event.  A
+        coface drops a member from the face's lower set or adds one of
+        extensions(face upper) to its upper set.  Returns whether the
+        collapse fired; it does not while a coface outside is present."""
         lower, upper = cube
         face_lower, face_upper = face
         if face in removed:
@@ -217,10 +206,12 @@ def _collapses(
                 "free face is absent although its cofaces are present", cube, face
             )
         span = face_lower & ~lower | upper & ~face_upper  # members from face to cube
-        if known is None or known in removed:
-            known = blocker(face_lower, face_upper, span)
-        if known is not None:
-            return known
+        for x in mask_iter(face_lower & ~span):
+            if (face_lower & ~(1 << x), face_upper) not in removed:
+                return False
+        for y in mask_iter(extensions(face_upper) & ~span):
+            if (face_lower, face_upper | 1 << y) not in removed:
+                return False
         # the two ends are the cube and face tuples themselves, not copies
         between = [cube, face]
         if span & span - 1:  # more than one member from face to cube
@@ -238,7 +229,7 @@ def _collapses(
         events.append(
             CollapseEvent(target=cube, face=face, hugged=hugged, removed=len(between), kind=kind)
         )
-        return None
+        return True
 
     return collapse
 
@@ -247,7 +238,6 @@ def retract(
     star: StarComplex,
     *,
     warn_and_proceed: bool = False,
-    strict_schedule: bool = False,
     tie_break: Optional[Callable[[tuple[int, int]], object]] = None,
 ) -> RetractionTrace:
     """Run the ordered collapse over the star; returns the audited trace.
@@ -270,12 +260,12 @@ def retract(
     between it and the cube (enough, as the present cubes stay face closed),
     and then exactly the cubes between the two are removed.  The schedule
     only chooses the face.  It first drops the hugged members from the upper
-    set; sweeps repeat until no event fires, and a blocked cube is retried
-    on the next sweep, remembering the coface that blocked it.  A cleanup
-    phase then sweeps again, pairing a cube whose hugged members still
-    cannot be dropped with the face that adds its least non-hugged member to
-    the lower set.  After each sweep the removed cubes leave the order.  In
-    the factor, an audit reads the factor's own removed cubes and extensions.
+    set; sweeps repeat until no event fires, and a blocked cube is audited
+    afresh on the next sweep.  A cleanup phase then sweeps again, pairing a
+    cube whose hugged members still cannot be dropped with the face that
+    adds its least non-hugged member to the lower set.  After each sweep the
+    removed cubes leave the order.  In the factor, an audit reads the
+    factor's own removed cubes and extensions.
 
     A collapse of the factor, taken times one cube (l, u) of the inert
     factor, is an elementary collapse of the star.  Each factor event is so
@@ -291,12 +281,9 @@ def retract(
     survives, so a fully literal single sweep cannot complete; see the
     README.)
 
-    ``strict_schedule`` runs the dropping sweep alone and raises a
-    StructuralAssertionError at the first blocked event, reporting the lift
-    of the blocked factor cube that the star's order reaches first; this
-    reproduces the single-sweep schedule literally.  Requires a spiky graph
-    unless ``warn_and_proceed`` is set.  ``tie_break`` overrides the order
-    within one (b, t, p) batch (used by the order-insensitivity audit).
+    Requires a spiky graph unless ``warn_and_proceed`` is set.
+    ``tie_break`` overrides the order within one (b, t, p) batch (used by
+    the order-insensitivity audit).
     """
     cg = star.cg
     spiky = is_spiky(cg.graph)
@@ -324,14 +311,6 @@ def retract(
         return (b, t, p, tie_break(cube))
 
     active = active_factor(cg)
-
-    def inert_cubes() -> list[tuple[int, int]]:
-        return [(lower, upper) for upper in star.cliques if not upper & active
-                for lower in _submasks(upper)]
-
-    def lift(cube: tuple[int, int], over: tuple[int, int]) -> tuple[int, int]:
-        return (cube[0] | over[0], cube[1] | over[1])
-
     oracle = HugOracle(cg)
     order = []  # the factor cubes that can fire; see the docstring
     for upper in clique_masks(cg.adj, active):
@@ -347,14 +326,10 @@ def retract(
         cache(lambda upper: cg.extensions(upper) & active), factor_removed, factor_events
     )
     sweeps = []  # the factor's events, one list per sweep
-    # a blocked cube remembers the blocker of its drop-hugged face, which
-    # every sweep re-audits; while present (removed only grows) it answers the
-    # next audit
-    blockers: dict[tuple[int, int], tuple[int, int]] = {}
 
     # each cube's face drops its hugged members; in the cleanup phase a
     # blocked one instead pairs down, adding its least non-hugged member
-    for cleanup in (False,) if strict_schedule else (False, True):
+    for cleanup in (False, True):
         progressed = True
         while progressed:
             progressed = False
@@ -364,24 +339,12 @@ def retract(
                     continue
                 lower, upper = cube
                 hugged = oracle.hugged_mask(upper) & ~lower
-                face = (lower, upper & ~hugged)
-                found = collapse(cube, face, hugged, "drop-hugged", blockers.get(cube))
-                if found is None:
-                    progressed = True
-                    continue
-                if strict_schedule:
-                    over = min(inert_cubes(), key=lambda c: sort_key(lift(cube, c)))
-                    raise StructuralAssertionError(
-                        "free-face condition failed during the ordered collapse",
-                        lift(cube, over),
-                        lift(face, over),
-                    )
-                blockers[cube] = found
                 rest = upper & ~lower & ~hugged
-                if cleanup and rest:
+                if collapse(cube, (lower, upper & ~hugged), hugged, "drop-hugged"):
+                    progressed = True
+                elif cleanup and rest:
                     face = (lower | rest & -rest, upper)
-                    if collapse(cube, face, hugged, "pair-down") is None:
-                        progressed = True
+                    progressed |= collapse(cube, face, hugged, "pair-down")
             sweeps.append(factor_events[start:])
             order = [cube for cube in order if cube not in factor_removed]
 
@@ -391,7 +354,10 @@ def retract(
     else:
         removed, events = set(), []
         collapse = _collapses(cache(cg.extensions), removed, events)
-        inert = inert_cubes() if factor_events or order else []
+        inert = []  # the inert factor's cubes, needed once a factor cube is lifted
+        if factor_events or order:
+            inert = [(lower, upper) for upper in star.cliques if not upper & active
+                     for lower in _submasks(upper)]
         for batch in sweeps:
             lifted = [
                 ((e.target[0] | a, e.target[1] | b), (e.face[0] | a, e.face[1] | b), e)
@@ -400,11 +366,11 @@ def retract(
             ]
             lifted.sort(key=lambda event: sort_key(event[0]))
             for cube, face, e in lifted:
-                if collapse(cube, face, e.hugged, e.kind) is not None:
+                if not collapse(cube, face, e.hugged, e.kind):
                     raise StructuralAssertionError(
                         "a lifted collapse failed its free-face audit", cube, face
                     )
-        order = [lift(cube, c) for cube in order for c in inert]
+        order = [(lower | a, upper | b) for lower, upper in order for a, b in inert]
 
     initial_stats = star.stats()
     gone = Counter((upper & ~lower).bit_count() for lower, upper in removed)

@@ -50,7 +50,6 @@ from .partitions import CapExceededError
 class MaxSetResult:
     size: int
     witness: frozenset[int]
-    restricted_to: frozenset[int]
 
 
 def _degeneracy_order(adj: Sequence[int], mask: int) -> list[int]:
@@ -239,7 +238,7 @@ def max_compatible(cg: CompatibilityGraph, vertices: Iterable[int]) -> MaxSetRes
         part_size = solver.expand(solver.full, symmetry=cg.inversion_classes)
         size += part_size
         witness |= solver.lex_least_clique(part_size)
-    return MaxSetResult(size=size, witness=witness, restricted_to=wanted)
+    return MaxSetResult(size=size, witness=witness)
 
 
 def naive_max_clique_size(adj: list[int], mask: int) -> int:

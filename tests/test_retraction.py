@@ -452,28 +452,36 @@ class TestRetract:
         retract(rake2_star, tie_break=lambda c: ordered.append(c) or 0)
         assert len(ordered) == 48 + 14600 < rake2_star.cube_count() == 74825
 
-    def test_strict_schedule_raises_on_rake2(self, rake2_star):
-        # the single literal sweep stalls at c(0, {4,7,14,15,16}): the face
-        # dropping the hugged member has a coface in a genuinely surviving
-        # all-principal inextendible 5-set.  The active factor stalls at
-        # c(0, {4,7}), and this is its lift that the star's order reaches
-        # first
-        with pytest.raises(StructuralAssertionError) as raised:
-            retract(rake2_star, strict_schedule=True)
-        exc = raised.value
-        assert str(exc) == "free-face condition failed during the ordered collapse"
-        assert exc.cube == (0, 114832)
-        assert exc.face == (0, 114704)
-        assert ids(exc.cube[1]) == (4, 7, 14, 15, 16)
+    def test_literal_sweep_cannot_collapse_from_the_dropping_face(self, rake2_star, rake2_trace):
+        # README caveat 1: c(0, {4,7,14,15,16}) has hugged member 7 and is
+        # removed, but its drop-hugged face c(0, {4,14,15,16}) stays, and so
+        # do two of that face's cofaces, all-principal and inextendible, so
+        # genuinely surviving.  Cubes only leave the complex, so those cofaces
+        # are present at every moment: no literal single sweep can collapse
+        # the cube from that face
+        cg = rake2_star.cg
+        oracle = HugOracle(cg)
+        cube, face = (0, 114832), (0, 114704)
+        assert ids(cube[1]) == (4, 7, 14, 15, 16) and ids(face[1]) == (4, 14, 15, 16)
+        assert oracle.hugged_mask(cube[1]) == 1 << 7
+        assert cube in rake2_trace.removed
+        assert face not in rake2_trace.removed
+        cofaces = [(0, face[1] | 1 << y) for y in (0, 8)]
+        for coface in cofaces:
+            assert coface[1] in rake2_star.cliques
+            assert coface not in rake2_trace.removed
+            assert not coface[1] & ~cg.principal_mask
+            assert cg.extensions(coface[1]) == 0
+            assert oracle.survives(*coface)
 
     def test_audits_probe_codimension_one_cofaces(self, rake2_star, probes):
         # counts work, not time: an audit probes the codimension-1 cofaces of
-        # its face until one is present, and a re-audit whose remembered
-        # blocker is still present probes none.  The factor run probes 64
-        # cofaces and the audits of the lifted events 53,200
+        # its face until one is present, and a blocked cube is audited afresh
+        # on each sweep.  The factor run probes 88 cofaces and the audits of
+        # the lifted events 53,200
         trace = retract(rake2_star)
         assert len(trace.events) == 14600
-        assert len(probes) == 64 + 53200
+        assert len(probes) == 88 + 53200
 
     def test_hug_lookups_go_through_the_module_attribute(self, rake2_star, monkeypatch):
         # the traced benchmark run wraps ``hugging.is_hugged_in`` and reads the
