@@ -48,8 +48,7 @@ def _read_graph(path: str) -> SimplicialGraph:
 
 def _emit(payload: dict, as_json: bool, text: str | None = None) -> None:
     if as_json or text is None:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -163,7 +162,7 @@ def cmd_retract(args) -> int:
     }
     if args.trace:
         with open(args.trace, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload, indent=2))
     text = (
         f"dimension {trace.initial_stats.dimension} -> {trace.final_stats.dimension}, "
         f"euler {trace.initial_stats.euler_characteristic} -> "

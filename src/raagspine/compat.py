@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
-from .graph import SimplicialGraph, mask_iter
+from .graph import SimplicialGraph, mask_iter, sv_pos
 from .partitions import Partition, all_partitions, inversion_class
 
 
@@ -55,8 +55,9 @@ class CompatibilityGraph:
 
     ``adj[i]`` is a bitmask over node indices; ``principal[i]`` says whether
     node i is a principal partition; ``bases[i]`` is its set of legal bases.
-    ``_hug_configs`` memoises ``hugging.hug_configs`` per node id; it is
-    filled lazily and is not part of the value.
+    ``_hug_configs`` memoises ``hugging.hug_configs`` per node id and
+    ``_symmetry`` the ``symmetry_classes`` per tuple of twin classes; both are
+    filled lazily and are not part of the value.
     """
 
     graph: SimplicialGraph
@@ -65,6 +66,9 @@ class CompatibilityGraph:
     principal: tuple[bool, ...]
     bases: tuple[frozenset[int], ...]
     _hug_configs: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+    _symmetry: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
@@ -83,10 +87,32 @@ class CompatibilityGraph:
         """The principal nodes as a bitmask over node ids."""
         return sum(1 << i for i in range(self.n) if self.principal[i])
 
-    @cached_property
-    def inversion_classes(self) -> tuple[tuple[int, int, int], ...]:
-        """Each node's class under inverting generators (``inversion_class``)."""
-        return tuple(inversion_class(p) for p in self.nodes)
+    def symmetry_classes(self, wanted: frozenset[int], based: list[int]) -> list:
+        """Per node id, the key of its class under inverting generators and
+        permuting the vertices inside each ~-class split by wanted
+        (``inversion_class``); the nodes in based are keyed, the rest may be
+        None.
+
+        A ~-class holds pairwise twins, so a permutation inside it is an
+        automorphism of the graph; splitting the class by wanted makes the
+        permutation fix wanted, and so the set of nodes based in wanted.
+        Memoised per tuple of split classes (all vertices and the principal
+        ones, both unions of ~-classes, share one); a query keys only the
+        nodes not keyed yet.
+        """
+        twins = tuple(
+            sum(1 << sv_pos(v) for v in half)
+            for c in self.graph.classify_vertices().classes
+            if len(c) > 1
+            for half in (c & wanted, c - wanted)
+            if len(half) > 1
+        )
+        keys = self._symmetry.setdefault(twins, [None] * self.n)
+        nodes = self.nodes
+        for i in based:
+            if keys[i] is None:
+                keys[i] = inversion_class(nodes[i], twins)
+        return keys
 
     def edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)

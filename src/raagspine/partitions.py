@@ -103,22 +103,34 @@ class Partition:
         }
 
 
-def inversion_class(p: Partition) -> tuple[int, int, int]:
-    """The class of p under inverting generators (v -> v^-1, any subset of v).
+def inversion_class(p: Partition, twins: tuple[int, ...] = ()) -> tuple[int, int, int]:
+    """The class of p under inverting generators (v -> v^-1, any subset of v)
+    and permuting the vertices inside each of the classes ``twins``.
 
-    Inverting v swaps its two letters.  That fixes the link and every
-    non-split v (its letters share a side), and moves each letter of a split
-    v to the other side.  So the class of p is every orientation of its split
-    letters: it is given by the split letters and the unordered pair of the
-    two sides' non-split parts.
+    ``twins`` holds positive-letter masks of classes of pairwise twins (equal
+    links, or equal stars), so each permutation inside one is an automorphism
+    of the graph.  Inverting v swaps its two letters.  That fixes the link and
+    every non-split v (its letters share a side), and moves each letter of a
+    split v to the other side.  So without twins the class of p is every
+    orientation of its split letters: it is given by the split letters and
+    the unordered pair of the two sides' non-split parts.  A twin class
+    contributes counts instead of letters: how many of its vertices are
+    split, and how many lie wholly in each side.
     """
-    # the sides and the link hold all 2n letters; a third of that mask is
-    # 0b0101...01, the positive letters
-    positive = (p.side_a | p.side_b | p.link) // 3
-    one = (p.side_a ^ p.side_a >> 1) & positive
-    split = one | one << 1
-    a, b = p.side_a & ~split, p.side_b & ~split
-    return (split, min(a, b), max(a, b))
+    letters = p.side_a | p.side_b | p.link
+    # a third of the 2n letters is 0b0101...01, the positive letters; one
+    # holds the positive letter of each split vertex
+    one = (p.side_a ^ p.side_a >> 1) & letters // 3
+    a, b = p.side_a & ~(one * 3), p.side_b & ~(one * 3)
+    # each twin class's letters give way to its counts, which are at most n
+    # and so fit in 2n bits, one 2n-bit field per class above the letters
+    width = shift = letters.bit_length()
+    for t in twins:
+        one = one & ~t | (one & t).bit_count() << shift
+        a = a & ~(t * 3) | (a & t).bit_count() << shift
+        b = b & ~(t * 3) | (b & t).bit_count() << shift
+        shift += width
+    return (one, a, b) if a < b else (one, b, a)
 
 
 def _compute_split(g: SimplicialGraph, side1: int, side2: int) -> frozenset[int]:

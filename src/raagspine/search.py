@@ -21,16 +21,21 @@ solves the parts of its candidates one after another, each against a floor
 set by the incumbent, the sizes already found and the colour bounds of the
 parts still to come.
 
-Inverting any set of generators (v -> v^-1) is an automorphism of A_Γ: it
-maps each partition to a partition (``partitions.inversion_class`` names its
-class) and keeps compatibility, bases and principality.  So it fixes every
-based node set, and it maps a co-component onto itself as soon as it maps one
-of its nodes into it.  The root of each part's size search therefore
-branches on one node per inversion class: once a node is explored, a largest
-clique through any node of its class is the image of one already covered,
-and the whole class leaves the candidates (orbital branching at the root;
-Ostrowski, Linderoth, Rossi & Smriglio, 2011).  Deeper nodes and the witness
-pass search without it.
+Two kinds of automorphism of A_Γ act on the partitions and keep
+compatibility, bases and principality: inverting any set of generators
+(v -> v^-1), and permuting the vertices of a ~-class, whose members are
+pairwise twins (equal links, or equal stars), so that swapping two of them is
+an automorphism of Γ.  A permutation inside a ~-class split by the queried W
+(its part inside W and its part outside) fixes W, and inversions fix every
+vertex, so the group they generate fixes the based node set.  It maps a
+co-component onto itself as soon as it maps one of its nodes into it.
+``partitions.inversion_class`` names each node's class, and
+``CompatibilityGraph.symmetry_classes`` keys the based nodes by it.  The
+root of each part's size search therefore branches on one node per class:
+once a node is explored, a largest clique through any node of its class is
+the image of one already covered, and the whole class leaves the candidates
+(orbital branching at the root; Ostrowski, Linderoth, Rossi & Smriglio,
+2011).  Deeper nodes and the witness pass search without it.
 
 ``clique_masks`` is the one clique enumerator (star complex, oversize verifier).
 """
@@ -228,14 +233,14 @@ def max_compatible(cg: CompatibilityGraph, vertices: Iterable[int]) -> MaxSetRes
 
     Each co-component of the basable nodes is solved on its own."""
     wanted = frozenset(vertices)
-    mask = 0
-    for i in cg.nodes_based_in(wanted):
-        mask |= 1 << i
+    based = cg.nodes_based_in(wanted)
+    mask = cg.members_mask(based)
+    symmetry = cg.symmetry_classes(wanted, based)
     size = 0
     witness: frozenset[int] = frozenset()
     for part in _co_components(cg.adj, mask):
         solver = _CliqueSolver(cg.adj, part)
-        part_size = solver.expand(solver.full, symmetry=cg.inversion_classes)
+        part_size = solver.expand(solver.full, symmetry=symmetry)
         size += part_size
         witness |= solver.lex_least_clique(part_size)
     return MaxSetResult(size=size, witness=witness)

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +103,12 @@ def factor_graph(cg, part):
         principal=tuple(cg.principal[i] for i in keep),
         bases=tuple(cg.bases[i] for i in keep),
     )
+
+
+def census_graph(index):
+    """Graph ``index`` of the benchmark's census pool, as pinned in
+    perfbench/census_answers.json."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "census_answers.json"
+    entry = json.loads(path.read_text())[index]
+    names = [f"x{v}" for v in range(entry["n"])]
+    return SimplicialGraph(names, [(f"x{a}", f"x{b}") for a, b in entry["edges"]])

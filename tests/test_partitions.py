@@ -16,10 +16,12 @@ from raagspine.partitions import (
     PartitionError,
     _partition_from_masks,
     _side_masks,
+    inversion_class,
     render_word,
 )
 
 from conftest import (
+    census_graph,
     doubled_names,
     find_partition,
     labelled_graphs,
@@ -345,19 +347,61 @@ class TestWhiteheadImages:
             whitehead_images(g, thin, signed(g, "a1"))
 
 
-def invert_letters(mask, v):
-    """The signed mask with the two letters of vertex v swapped."""
-    pair = mask >> 2 * v & 3
-    return mask & ~(3 << 2 * v) | (pair >> 1 | (pair & 1) << 1) << 2 * v
+def permute_letters(mask, image):
+    """The signed mask with each letter s moved to image[s]."""
+    out = 0
+    for s in mask_iter(mask):
+        out |= 1 << image[s]
+    return out
 
 
-class TestInversionClasses:
-    """Inverting one generator is an automorphism of the compatibility graph.
+def generators(g, wanted):
+    """Letter permutations generating the root-skip group for the query W =
+    wanted: every inversion, and the transposition of consecutive members of
+    each ~-class split by wanted (pairwise twins, so an automorphism)."""
+    gens = []
+    for v in range(g.n):
+        image = list(range(2 * g.n))
+        image[2 * v], image[2 * v + 1] = 2 * v + 1, 2 * v
+        gens.append(image)
+    for c in g.classify_vertices().classes:
+        for half in (sorted(c & wanted), sorted(c - wanted)):
+            for u, w in zip(half, half[1:]):
+                image = list(range(2 * g.n))
+                for k in (0, 1):
+                    image[2 * u + k], image[2 * w + k] = 2 * w + k, 2 * u + k
+                gens.append(image)
+    return gens
 
-    The root skip of the clique search rests on this: each of the n
-    inversions maps every node to a node and keeps ``adj``, ``bases`` and
-    ``principal``, and ``inversion_class`` names exactly the orbits of the
-    group they generate.
+
+def twin_census_graphs():
+    """The graphs among the first 120 of the benchmark's census pool with a
+    ~-class of two or more vertices (67 of them)."""
+    out = {}
+    for index in range(120):
+        g = census_graph(index)
+        if any(len(c) > 1 for c in g.classify_vertices().classes):
+            out[f"census{index}"] = g
+    return out
+
+
+WANTED = {
+    "V": lambda g: frozenset(range(g.n)),
+    "L": lambda g: g.classify_vertices().principal,
+    "v1": lambda g: frozenset({0}),
+    "v1v2": lambda g: frozenset({0, 1}),
+}
+
+
+class TestSymmetryClasses:
+    """Inverting a generator, or swapping two vertices of one ~-class split by
+    the queried W, is an automorphism of the compatibility graph that fixes
+    the nodes based in W.
+
+    The root skip of the clique search rests on this: each such generator
+    maps every node to a node and keeps ``adj``, ``bases``, ``principal``
+    and the based set, and ``symmetry_classes`` names exactly the orbits of
+    the group they generate on the based nodes.
     """
 
     GRAPHS = {
@@ -365,13 +409,16 @@ class TestInversionClasses:
         "edgeless5": families.edgeless(5),
         "delta": families.delta(),
         "condition2-counterexample": families.condition2_counterexample(),
+        **twin_census_graphs(),
     }
 
+    @pytest.mark.parametrize("w", sorted(WANTED))
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_inversions_are_automorphisms_and_classes_are_orbits(self, name, cg_cache):
+    def test_generators_are_automorphisms_and_classes_are_orbits(self, name, w, cg_cache):
         cg = cg_cache(self.GRAPHS[name])
         g = cg.graph
-        by_sides = {p.sides(): i for i, p in enumerate(cg.nodes)}
+        wanted = WANTED[w](g)
+        based = cg.members_mask(cg.nodes_based_in(wanted))
         parent = list(range(cg.n))
 
         def root(i):
@@ -380,28 +427,38 @@ class TestInversionClasses:
                 i = parent[i]
             return i
 
-        for v in range(g.n):
-            image = []
+        for image in generators(g, wanted):
+            moved = []
             for p in cg.nodes:
-                a = invert_letters(p.side_a, v)
-                b = invert_letters(p.side_b, v)
-                image.append(by_sides[(a, b) if a & -a < b & -b else (b, a)])
-            assert sorted(image) == list(range(cg.n))
-            for i, j in enumerate(image):
-                assert cg.bases[j] == cg.bases[i]
+                a = permute_letters(p.side_a, image)
+                b = permute_letters(p.side_b, image)
+                moved.append(cg.node_of[(a, b) if a & -a < b & -b else (b, a)])
+            assert sorted(moved) == list(range(cg.n))
+            for i, j in enumerate(moved):
+                assert cg.bases[j] == {image[2 * v] // 2 for v in cg.bases[i]}
                 assert cg.principal[j] == cg.principal[i]
-                assert cg.nodes[j].link == cg.nodes[i].link
+                assert cg.nodes[j].link == permute_letters(cg.nodes[i].link, image)
+                assert based >> j & 1 == based >> i & 1
                 row = 0
                 for k in mask_iter(cg.adj[i]):
-                    row |= 1 << image[k]
+                    row |= 1 << moved[k]
                 assert cg.adj[j] == row
                 parent[root(i)] = root(j)
+        keys = cg.symmetry_classes(wanted, cg.nodes_based_in(wanted))
         orbits = {}
         classes = {}
-        for i, key in enumerate(cg.inversion_classes):
+        for i in mask_iter(based):
             orbits.setdefault(root(i), set()).add(i)
-            classes.setdefault(key, set()).add(i)
+            classes.setdefault(keys[i], set()).add(i)
         assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, classes.values()))
-        counts = {"edgeless5": (486, 101), "delta": (140, 40), "condition2-counterexample": (580, 135)}
-        if name in counts:
-            assert (cg.n, len(classes)) == counts[name]
+        counts = {("edgeless5", "V"): 8, ("edgeless5", "v1v2"): 15, ("edgeless4", "v1"): 5}
+        if (name, w) in counts:
+            assert len(classes) == counts[name, w]
+
+    @pytest.mark.parametrize(
+        "name, nodes, classes",
+        [("edgeless5", 486, 101), ("delta", 140, 40), ("condition2-counterexample", 580, 135)],
+    )
+    def test_inversion_classes_pinned(self, name, nodes, classes, cg_cache):
+        cg = cg_cache(self.GRAPHS[name])
+        assert (cg.n, len({inversion_class(p) for p in cg.nodes})) == (nodes, classes)

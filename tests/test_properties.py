@@ -184,7 +184,7 @@ def redeclared(g, seed):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_relabelling_keeps_the_analysis(fixture_graph, seed):
     # vertex ids follow declaration order, and so do the node ids, the
-    # signed-letter masks and the inversion classes the clique search skips by
+    # signed-letter masks and the symmetry classes the clique search skips by
     g = fixture_graph
     assert analysis_invariants(redeclared(g, seed)) == analysis_invariants(g)
 

@@ -2,7 +2,6 @@ import itertools
 import json
 from collections import Counter
 from functools import cache
-from pathlib import Path
 
 import pytest
 
@@ -14,10 +13,12 @@ from raagspine import (
     retract,
     retraction,
 )
-from raagspine.graph import SimplicialGraph, mask_iter
+from raagspine.graph import mask_iter
 from raagspine.hugging import HugOracle, active_factor, hug_configs
 from raagspine.retraction import StructuralAssertionError, _submasks
 from raagspine.search import CapExceededError, _co_components, clique_masks
+
+from conftest import census_graph
 
 
 def ids(mask):
@@ -101,15 +102,6 @@ def rake2_star(cg_cache):
 @pytest.fixture(scope="module")
 def rake2_trace(rake2_star):
     return retract(rake2_star)
-
-
-def census_graph(index):
-    """Graph ``index`` of the benchmark's census pool, as pinned in
-    perfbench/census_answers.json."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "census_answers.json"
-    entry = json.loads(path.read_text())[index]
-    names = [f"x{v}" for v in range(entry["n"])]
-    return SimplicialGraph(names, [(f"x{a}", f"x{b}") for a, b in entry["edges"]])
 
 
 @pytest.fixture(scope="module")
